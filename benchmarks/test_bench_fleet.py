@@ -16,6 +16,7 @@ import json
 import os
 
 from repro.fleet import FleetScenario, run_fleet
+from repro.store import manifest_path
 
 from conftest import BENCH_SEED, run_once
 
@@ -42,7 +43,7 @@ def _scenario() -> FleetScenario:
 
 
 def _manifest_digest(path) -> str:
-    payload = (path / "fleet.json").read_bytes()
+    payload = manifest_path(path).read_bytes()
     return hashlib.sha256(payload).hexdigest()
 
 

@@ -11,8 +11,9 @@ The package has eight subsystems (see DESIGN.md):
 * :mod:`repro.emmc` -- the event-driven eMMC simulator with the HPS scheme;
 * :mod:`repro.analysis` / :mod:`repro.experiments` -- characterization and
   the per-table/figure reproduction harness;
-* :mod:`repro.store` / :mod:`repro.streaming` -- chunked on-disk columnar
-  trace store and out-of-core, mergeable streaming analytics.
+* :mod:`repro.store` / :mod:`repro.streaming` -- the one chunked on-disk
+  columnar table (trace, span and fleet stores are schemas of it) and
+  out-of-core, mergeable streaming analytics.
 
 Quickstart::
 

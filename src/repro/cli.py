@@ -239,9 +239,10 @@ def _cmd_store_pack(args) -> int:
         trace = read_trace(args.input)
         manifest = pack(trace, args.output, chunk_rows=args.chunk_rows,
                         overwrite=args.force)
+    nbytes = sum(info["nbytes"] for info in manifest["chunks"])
     print(
-        f"packed {manifest.total_rows:,} requests into {len(manifest.chunks)} "
-        f"chunk(s) ({manifest.total_nbytes:,} bytes) at {args.output}"
+        f"packed {manifest['total_rows']:,} requests into {len(manifest['chunks'])} "
+        f"chunk(s) ({nbytes:,} bytes) at {args.output}"
     )
     return 0
 
@@ -257,7 +258,7 @@ def _cmd_store_info(args) -> int:
         ["Name", store.name],
         ["Requests", f"{len(store):,}"],
         ["Chunks", f"{store.num_chunks}"],
-        ["Bytes", f"{store.manifest.total_nbytes:,}"],
+        ["Bytes", f"{sum(info['nbytes'] for info in store.chunk_infos):,}"],
         ["Arrival sorted", "yes" if store.arrival_sorted else "no"],
         ["Verified", "ok" if args.verify else "not checked"],
     ]
@@ -266,8 +267,8 @@ def _cmd_store_info(args) -> int:
     print(render_table(["Field", "Value"], rows, title=f"Store {str(args.store)!r}"))
     if args.chunks:
         chunk_rows = [
-            [i, info.file, f"{info.rows:,}", f"{info.min_arrival_us:,.0f}",
-             f"{info.max_arrival_us:,.0f}", info.sha256[:12]]
+            [i, info["file"], f"{info['rows']:,}", f"{info['min_arrival_us']:,.0f}",
+             f"{info['max_arrival_us']:,.0f}", info["sha256"][:12]]
             for i, info in enumerate(store.chunk_infos)
         ]
         print(render_table(

@@ -1,4 +1,4 @@
-"""Deterministic damage injectors for chunked trace stores.
+"""Deterministic damage injectors for chunked stores of any schema.
 
 These are the storage-side counterpart of the device fault hooks: given
 a :class:`~repro.faults.plan.FaultPlan`, they damage a packed store in a
@@ -11,9 +11,9 @@ crash-consistency machinery claims to handle:
 * :func:`corrupt_chunk` -- flip one byte at a ``plan.stream("store")``-
   chosen offset, the signature of silent bit rot.
 
-Both locate chunks through the manifest (falling back to a killed
-writer's journal), never by globbing, so they damage only what the
-store's own index believes exists.
+Both locate chunks through the store's index -- the manifest, falling
+back to a killed writer's journal (:func:`repro.store.read_index`) --
+never by globbing, so they damage only what the index believes exists.
 """
 
 from __future__ import annotations
@@ -36,23 +36,13 @@ class StoreDamage:
     damaged_nbytes: int
 
 
-def _chunk_index_entries(store_dir: Path) -> List:
+def _chunk_index_entries(store_dir: Path) -> List[dict]:
     """The store's chunk index: manifest if present, else the journal."""
     # Imported here so repro.faults stays importable without repro.store
     # (the device-side fault path has no storage dependency).
-    from repro.store.manifest import (
-        StoreError,
-        journal_path,
-        manifest_path,
-        read_journal,
-        read_manifest,
-    )
+    from repro.store import read_index
 
-    if manifest_path(store_dir).is_file():
-        return read_manifest(store_dir).chunks
-    if journal_path(store_dir).is_file():
-        return read_journal(store_dir).chunks
-    raise StoreError(f"{store_dir!s} has no manifest or journal to locate chunks")
+    return read_index(store_dir)[1]["chunks"]
 
 
 def tear_chunk(
@@ -69,8 +59,8 @@ def tear_chunk(
     """
     store_dir = Path(store_dir)
     chunks = _chunk_index_entries(store_dir)
-    info = chunks[chunk_index]
-    path = store_dir / info.file
+    file_name = chunks[chunk_index]["file"]
+    path = store_dir / file_name
     original = path.stat().st_size
     keep = original // 2 if keep_bytes is None else int(keep_bytes)
     if not 0 <= keep < original:
@@ -78,13 +68,11 @@ def tear_chunk(
     with open(path, "r+b") as handle:
         handle.truncate(keep)
     if drop_manifest:
-        from repro.store.manifest import manifest_path
+        from repro.store import manifest_path
 
-        manifest_file = manifest_path(store_dir)
-        if manifest_file.exists():
-            manifest_file.unlink()
+        manifest_path(store_dir).unlink(missing_ok=True)
     return StoreDamage(
-        file=info.file,
+        file=file_name,
         kind="torn",
         offset=keep,
         original_nbytes=original,
@@ -108,11 +96,11 @@ def corrupt_chunk(
     stream = plan.stream("store")
     if chunk_index is None:
         chunk_index = int(stream.integers(0, len(chunks)))
-    info = chunks[chunk_index]
-    path = store_dir / info.file
+    file_name = chunks[chunk_index]["file"]
+    path = store_dir / file_name
     original = path.stat().st_size
     if original == 0:
-        raise ValueError(f"{info.file} is empty; nothing to corrupt")
+        raise ValueError(f"{file_name} is empty; nothing to corrupt")
     offset = int(stream.integers(0, original))
     with open(path, "r+b") as handle:
         handle.seek(offset)
@@ -121,7 +109,7 @@ def corrupt_chunk(
         # XOR with 0xFF always changes the byte, whatever its value.
         handle.write(bytes([byte ^ 0xFF]))
     return StoreDamage(
-        file=info.file,
+        file=file_name,
         kind="corrupt",
         offset=offset,
         original_nbytes=original,

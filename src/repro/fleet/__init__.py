@@ -18,8 +18,8 @@ package turns the single-device reproduction into a population engine:
   states and packs per-device rows into a chunked columnar fleet store,
   with merge order fixed by device index so results are bit-identical
   for any ``--jobs``;
-* :mod:`repro.fleet.store` -- the ``repro/store``-style on-disk fleet
-  store (manifest + sha256-checksummed chunks of device rows);
+* :mod:`repro.fleet.store` -- the fleet store: the :mod:`repro.store`
+  table with one row per device and the scenario in its manifest;
 * :mod:`repro.fleet.report` -- fleet-level rollups: percentiles across
   devices, per-app breakdowns, end-of-life projections;
 * :mod:`repro.fleet.cli` -- the ``repro-fleet run|stats|show-device``

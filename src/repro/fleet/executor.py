@@ -97,7 +97,7 @@ class FleetRunResult:
 
     @property
     def devices(self) -> int:
-        return int(self.manifest["total_devices"])
+        return int(self.manifest["total_rows"])
 
     @property
     def speedup(self) -> float:

@@ -1,47 +1,27 @@
-"""Chunked columnar fleet store -- ``repro/store``'s layout for devices.
+"""Fleet stores: one row per simulated device in a :mod:`repro.store` table.
 
-A fleet store is a directory::
+Rows follow :data:`FLEET_COLUMNS` in the shared chunked layout (see
+``docs/trace-store.md``), so fleet analytics over arbitrarily large
+populations run out of core, one memory-mapped chunk at a time.
 
-    fleet/
-      fleet.json          # manifest: scenario, string tables, chunk index
-      devices-00000.bin   # chunk: FLEET_COLUMNS arrays, column-major
-      devices-00001.bin
-
-Each chunk holds ``chunk_devices`` per-device rows (the last one fewer)
-as concatenated little-endian column arrays in :data:`FLEET_COLUMNS`
-order -- struct-of-arrays on disk, exactly like :mod:`repro.store` for
-request traces and :mod:`repro.telemetry.spanstore` for spans.  Reads
-memory-map one chunk at a time, so fleet analytics over arbitrarily
-large populations run out of core.
-
-Determinism: the manifest embeds the scenario (the store is
-self-describing: ``show-device --resimulate`` needs nothing else), app /
-config / fault-profile string tables in scenario-mix order, one SHA-256
-per chunk, and no timestamps -- two runs of the same scenario produce
-byte-identical directories regardless of ``--jobs`` or
-``PYTHONHASHSEED`` (the CI fleet job compares manifests across both).
-The manifest is written last via temp + ``os.replace``, so a crashed
-run never leaves a directory that claims to be a complete fleet.
+The manifest header makes the store self-describing: the scenario
+(``show-device --resimulate`` needs nothing else), the app / config /
+fault-profile string tables in scenario-mix order, and -- once the run
+completes -- the fleet-level ``request_summary`` rollup.  Two runs of
+the same scenario produce byte-identical directories regardless of
+``--jobs`` or ``PYTHONHASHSEED`` (the CI fleet job compares them).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from pathlib import Path
-from types import TracebackType
-from typing import Dict, Iterator, List, Optional, Tuple, Type, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.store import Schema, StoreError, Table, TableWriter
+from repro.store.table import Manifest, PathLike
+
 from .scenario import FleetScenario
-
-#: Manifest file name inside a fleet-store directory.
-FLEET_MANIFEST_NAME = "fleet.json"
-
-_FORMAT = "repro-fleet-store"
-_VERSION = 1
 
 #: Per-device row schema: (column, little-endian dtype), in on-disk order.
 #: ``*_id`` columns index the manifest's string tables (scenario-mix
@@ -82,8 +62,8 @@ FLEET_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("stats_digest64", "<u8"),
 )
 
-#: Column name -> dtype string, for quick lookups.
-FLEET_DTYPES: Dict[str, str] = {name: dtype for name, dtype in FLEET_COLUMNS}
+#: The fleet store's layout.
+FLEET_SCHEMA = Schema(format="repro-fleet-store", version=2, columns=FLEET_COLUMNS)
 
 #: Default devices per chunk file (~66 KiB at 271 B/row).
 DEFAULT_CHUNK_DEVICES = 256
@@ -91,20 +71,11 @@ DEFAULT_CHUNK_DEVICES = 256
 #: A per-device row: column name -> Python scalar.
 DeviceRow = Dict[str, Union[int, float]]
 
-
-class FleetStoreError(RuntimeError):
-    """A fleet store is missing, malformed, or fails verification."""
-
-
-def _chunk_filename(index: int) -> str:
-    return f"devices-{index:05d}.bin"
+#: Fleet-store failures are plain store errors.
+FleetStoreError = StoreError
 
 
-def _schema_as_json() -> List[List[str]]:
-    return [[name, dtype] for name, dtype in FLEET_COLUMNS]
-
-
-class FleetStoreWriter:
+class FleetStoreWriter(TableWriter):
     """Incrementally write one fleet store directory, row batches in
     device-index order.
 
@@ -115,164 +86,66 @@ class FleetStoreWriter:
 
     def __init__(
         self,
-        path: Union[str, Path],
+        path: PathLike,
         scenario: FleetScenario,
         chunk_devices: int = DEFAULT_CHUNK_DEVICES,
         overwrite: bool = False,
     ) -> None:
-        if chunk_devices <= 0:
-            raise ValueError("chunk_devices must be positive")
-        self.path = Path(path)
+        header = {
+            "scenario": scenario.as_dict(),
+            "apps": scenario.app_names(),
+            "configs": scenario.config_names(),
+            "fault_profiles": scenario.fault_profile_names(),
+        }
+        super().__init__(path, FLEET_SCHEMA, chunk_devices, header, overwrite)
         self.scenario = scenario
-        self.chunk_devices = int(chunk_devices)
-        self._pending: List[DeviceRow] = []
-        self._chunks: List[Dict[str, object]] = []
-        self._rows_written = 0
-        self._closed = False
-        self.manifest: Optional[Dict[str, object]] = None
-        self.path.mkdir(parents=True, exist_ok=True)
-        manifest_file = self.path / FLEET_MANIFEST_NAME
-        if manifest_file.exists():
-            if not overwrite:
-                raise FleetStoreError(
-                    f"{self.path!s} already holds a fleet store "
-                    "(pass overwrite=True to replace it)"
-                )
-            manifest_file.unlink()
-            for stale in sorted(self.path.glob("devices-*.bin")):
-                stale.unlink()
-
-    @property
-    def rows_written(self) -> int:
-        """Rows already flushed to chunk files."""
-        return self._rows_written
 
     def append_row(self, row: DeviceRow) -> None:
         """Queue one device's row (rows must arrive in device-index order)."""
-        if self._closed:
-            raise FleetStoreError("fleet writer is closed")
-        expected = self._rows_written + len(self._pending)
-        if int(row["device_index"]) != expected:
-            raise FleetStoreError(
-                f"rows must arrive in device-index order: got device "
-                f"{row['device_index']}, expected {expected}"
-            )
-        missing = [name for name, _ in FLEET_COLUMNS if name not in row]
-        if missing:
-            raise FleetStoreError(f"device row is missing columns: {missing}")
-        self._pending.append(row)
-        if len(self._pending) >= self.chunk_devices:
-            self._flush(self.chunk_devices)
+        self.append_rows([row])
 
+    # append_rows and close are defined on this class, not inherited:
+    # perfbench/layers.py times the fleet store through these two names.
     def append_rows(self, rows: List[DeviceRow]) -> None:
         """Queue a batch of rows (in device-index order)."""
+        expected = self.rows_written + self._pending_rows
         for row in rows:
-            self.append_row(row)
-
-    def _flush(self, count: int) -> None:
-        batch, self._pending = self._pending[:count], self._pending[count:]
-        digest = hashlib.sha256()
-        nbytes = 0
-        file_name = _chunk_filename(len(self._chunks))
-        with open(self.path / file_name, "wb") as handle:
-            for name, dtype in FLEET_COLUMNS:
-                array = np.array([row[name] for row in batch], dtype=dtype)
-                payload = array.tobytes()
-                digest.update(payload)
-                handle.write(payload)
-                nbytes += len(payload)
-        self._chunks.append(
+            if int(row["device_index"]) != expected:
+                raise FleetStoreError(
+                    f"rows must arrive in device-index order: got device "
+                    f"{row['device_index']}, expected {expected}"
+                )
+            missing = [name for name, _ in FLEET_COLUMNS if name not in row]
+            if missing:
+                raise FleetStoreError(f"device row is missing columns: {missing}")
+            expected += 1
+        self.append(
             {
-                "file": file_name,
-                "rows": len(batch),
-                "nbytes": nbytes,
-                "sha256": digest.hexdigest(),
+                name: np.array([row[name] for row in rows], dtype=dtype)
+                for name, dtype in FLEET_COLUMNS
             }
         )
-        self._rows_written += len(batch)
 
-    def close(self, request_summary: Optional[Dict[str, object]] = None) -> Dict[str, object]:
+    def close(self, request_summary: Optional[Dict[str, object]] = None) -> Manifest:
         """Flush the tail chunk and write the manifest atomically.
 
         ``request_summary`` (optional) is the fleet-level request-stat
         rollup the executor folded; it is embedded verbatim so the
         manifest's bytes cover the merged metric states too.
         """
-        if self._closed:
-            raise FleetStoreError("fleet writer is already closed")
-        if self._pending:
-            self._flush(len(self._pending))
-        manifest: Dict[str, object] = {
-            "format": _FORMAT,
-            "version": _VERSION,
-            "scenario": self.scenario.as_dict(),
-            "columns": _schema_as_json(),
-            "chunk_devices": self.chunk_devices,
-            "total_devices": self._rows_written,
-            "apps": self.scenario.app_names(),
-            "configs": self.scenario.config_names(),
-            "fault_profiles": self.scenario.fault_profile_names(),
-            "chunks": self._chunks,
-        }
         if request_summary is not None:
-            manifest["request_summary"] = request_summary
-        manifest_file = self.path / FLEET_MANIFEST_NAME
-        temp = manifest_file.with_suffix(".json.tmp")
-        temp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        os.replace(temp, manifest_file)
-        self._closed = True
-        self.manifest = manifest
-        return manifest
-
-    def __enter__(self) -> "FleetStoreWriter":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        # Only finalize a clean exit; an exception leaves no manifest.
-        if exc_type is None and not self._closed:
-            self.close()
+            self.header["request_summary"] = request_summary
+        return super().close()
 
 
-class FleetStore:
+class FleetStore(Table):
     """Read-side handle on a packed fleet store directory."""
 
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-        manifest_path = self.path / FLEET_MANIFEST_NAME
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except FileNotFoundError:
-            raise FleetStoreError(f"no fleet store at {self.path!s}") from None
-        except json.JSONDecodeError as error:
-            raise FleetStoreError(
-                f"corrupt fleet manifest at {manifest_path!s}: {error}"
-            ) from None
-        if manifest.get("format") != _FORMAT:
-            raise FleetStoreError(f"{manifest_path!s} is not a fleet store manifest")
-        if manifest.get("version") != _VERSION:
-            raise FleetStoreError(
-                f"unsupported fleet store version {manifest.get('version')!r}"
-            )
-        if manifest.get("columns") != _schema_as_json():
-            raise FleetStoreError(
-                "fleet store column schema does not match this reader"
-            )
-        self.manifest = manifest
-        self.apps: List[str] = list(manifest["apps"])
-        self.configs: List[str] = list(manifest["configs"])
-        self.fault_profiles: List[str] = list(manifest["fault_profiles"])
-
-    def __len__(self) -> int:
-        return int(self.manifest["total_devices"])
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self.manifest["chunks"])
+    def __init__(self, path: PathLike) -> None:
+        super().__init__(path, FLEET_SCHEMA)
+        self.apps: List[str] = list(self.manifest["apps"])
+        self.configs: List[str] = list(self.manifest["configs"])
+        self.fault_profiles: List[str] = list(self.manifest["fault_profiles"])
 
     @property
     def request_summary(self) -> Optional[Dict[str, object]]:
@@ -283,82 +156,21 @@ class FleetStore:
         """The population description this store was produced from."""
         return FleetScenario.from_dict(self.manifest["scenario"])
 
-    def _chunk_bytes(self, info: Dict[str, object]) -> np.memmap:
-        chunk_path = self.path / str(info["file"])
-        try:
-            mapped = np.memmap(chunk_path, dtype=np.uint8, mode="r")
-        except (FileNotFoundError, ValueError) as error:
-            raise FleetStoreError(
-                f"unreadable fleet chunk {info['file']!r}: {error}"
-            ) from None
-        if mapped.nbytes != info["nbytes"]:
-            raise FleetStoreError(
-                f"fleet chunk {info['file']!r} is {mapped.nbytes} bytes, "
-                f"manifest says {info['nbytes']}"
-            )
-        return mapped
-
-    def _decode_chunk(self, info: Dict[str, object]) -> Dict[str, np.ndarray]:
-        mapped = self._chunk_bytes(info)
-        rows = int(info["rows"])
-        offset = 0
-        columns: Dict[str, np.ndarray] = {}
-        for name, dtype in FLEET_COLUMNS:
-            width = np.dtype(dtype).itemsize * rows
-            columns[name] = np.frombuffer(mapped, dtype=dtype, count=rows, offset=offset)
-            offset += width
-        return columns
-
-    def iter_chunks(self) -> Iterator[Dict[str, np.ndarray]]:
-        """Yield each chunk's columns, one memory-mapped chunk at a time."""
-        for info in self.manifest["chunks"]:
-            yield self._decode_chunk(info)
-
-    def column(self, name: str) -> np.ndarray:
-        """One column concatenated across all chunks (copies into memory)."""
-        if name not in FLEET_DTYPES:
-            raise KeyError(f"unknown fleet column {name!r}")
-        pieces = [chunk[name] for chunk in self.iter_chunks()]
-        if not pieces:
-            return np.empty(0, dtype=FLEET_DTYPES[name])
-        return np.concatenate(pieces)
-
     def device_row(self, index: int) -> DeviceRow:
         """Device ``index``'s row, touching only its chunk."""
         if not 0 <= index < len(self):
             raise IndexError(f"device index {index} outside [0, {len(self)})")
-        position = index
-        for info in self.manifest["chunks"]:
-            rows = int(info["rows"])
-            if position < rows:
-                columns = self._decode_chunk(info)
-                return {
-                    name: (
-                        float(columns[name][position])
-                        if np.dtype(dtype).kind == "f"
-                        else int(columns[name][position])
-                    )
-                    for name, dtype in FLEET_COLUMNS
-                }
-            position -= rows
-        raise FleetStoreError("manifest chunk rows disagree with total_devices")
-
-    def verify(self) -> None:
-        """Re-hash every chunk against the manifest; raises on mismatch."""
-        total = 0
-        for info in self.manifest["chunks"]:
-            digest = hashlib.sha256(self._chunk_bytes(info).tobytes()).hexdigest()
-            if digest != info["sha256"]:
-                raise FleetStoreError(
-                    f"fleet chunk {info['file']!r} fails its checksum"
-                )
-            total += int(info["rows"])
-        if total != len(self):
-            raise FleetStoreError(
-                f"chunk rows sum to {total}, manifest says {len(self)}"
-            )
+        chunk = 0
+        while index >= self.manifest["chunks"][chunk]["rows"]:
+            index -= self.manifest["chunks"][chunk]["rows"]
+            chunk += 1
+        columns = self.chunk_columns(chunk)
+        return {
+            name: (float if np.dtype(dtype).kind == "f" else int)(columns[name][index])
+            for name, dtype in FLEET_COLUMNS
+        }
 
 
-def open_fleet_store(path: Union[str, Path]) -> FleetStore:
+def open_fleet_store(path: PathLike) -> FleetStore:
     """Open a packed fleet store directory for reading."""
     return FleetStore(path)

@@ -1,95 +1,74 @@
-"""``repro.store``: chunked, memory-mapped, on-disk columnar trace store.
+"""``repro.store``: the chunked, memory-mapped, checksummed columnar table.
 
-The row-at-a-time CSV format (:mod:`repro.trace.io`) is fine for the
-paper's 25 modest traces but collapses at production scale: a
-1000x-scaled trace neither parses quickly nor fits comfortably in RAM.
-This package stores a trace as a directory of fixed-size binary chunk
-files -- the same struct-of-arrays layout
-:class:`~repro.trace.TraceColumns` uses in memory -- plus a JSON
-manifest with the dtype schema, per-chunk row counts, arrival min/max
-(range pruning) and SHA-256 checksums.
+Every on-disk store in the repository -- request traces, telemetry
+spans (:mod:`repro.telemetry.spanstore`) and fleet device rows
+(:mod:`repro.fleet.store`) -- is one :class:`Table` layout declared by a
+:class:`Schema`: a directory of fixed-size column-major chunk files plus
+a JSON manifest holding the schema, a schema-specific header, per-chunk
+row counts and SHA-256 checksums.
 
-Write side: :func:`pack` (one-shot) and :class:`StoreWriter` (streaming
--- producers append request/column batches of any size and never hold
-the full trace).  Read side: :func:`open_store` returns a
-:class:`TraceStore` with lazy ``np.memmap`` chunk access, re-chunking
-iteration, pruned range/mask selection and a ``to_trace()`` escape
-hatch.  Pair with :mod:`repro.streaming` for out-of-core analysis.
+One mechanism serves all of them: :class:`TableWriter` re-chunks column
+batches, hashes each chunk as it writes it, journals after every flush
+and writes the manifest atomically on close; :class:`Table` validates a
+manifest, memory-maps chunk columns and re-hashes chunks in
+:meth:`Table.verify`; :func:`repair` quarantines damage and finalizes a
+killed writer's journal for any schema.
 
-Crash consistency: the writer journals flushed chunks
-(:class:`StoreJournal`, removed on clean close); :meth:`TraceStore.verify`
-re-hashes chunks into a :class:`StoreVerifyResult`; and :func:`repair`
-quarantines, rebuilds or finalizes damaged/half-written stores.  See
-``docs/fault-model.md`` for the repair workflow.
+The trace store (:data:`TRACE_SCHEMA`) adds the typed surface:
+:func:`pack` / :class:`StoreWriter` on the write side and
+:func:`open_store` / :class:`TraceStore` (re-chunking iteration,
+arrival-range pruning, ``to_trace()``) on the read side.
 
-See ``docs/trace-store.md`` for the on-disk layout and chunk-size
-guidance.
+See ``docs/trace-store.md`` for the on-disk layout and the workflow.
 """
 
-from .format import (
-    CHUNK_COLUMNS,
-    COLUMN_DTYPES,
-    DEFAULT_CHUNK_ROWS,
-    JOURNAL_FORMAT,
+from .repair import RepairReport, repair
+from .table import (
     JOURNAL_NAME,
     MANIFEST_NAME,
     QUARANTINE_SUFFIX,
-    ROW_NBYTES,
-    STORE_FORMAT,
-    STORE_VERSION,
-    chunk_filename,
-)
-from .manifest import (
-    ChunkInfo,
-    StoreError,
-    StoreJournal,
-    StoreManifest,
-    journal_path,
-    read_journal,
-    read_manifest,
-    write_journal,
-    write_manifest,
-)
-from .reader import (
     BadChunk,
+    Schema,
+    StoreError,
     StoreVerifyResult,
-    TraceStore,
-    open_store,
-    verify_chunk_file,
+    Table,
+    TableWriter,
+    chunk_filename,
+    journal_path,
+    manifest_path,
+    read_index,
 )
-from .repair import RepairReport, repair
-from .writer import StoreWriter, concat_columns, pack, write_chunk_file
+from .trace import (
+    DEFAULT_CHUNK_ROWS,
+    TRACE_SCHEMA,
+    StoreWriter,
+    TraceStore,
+    concat_columns,
+    open_store,
+    pack,
+)
 
 __all__ = [
-    "CHUNK_COLUMNS",
-    "COLUMN_DTYPES",
+    "BadChunk",
     "DEFAULT_CHUNK_ROWS",
-    "JOURNAL_FORMAT",
     "JOURNAL_NAME",
     "MANIFEST_NAME",
     "QUARANTINE_SUFFIX",
-    "ROW_NBYTES",
-    "STORE_FORMAT",
-    "STORE_VERSION",
-    "chunk_filename",
-    "BadChunk",
-    "ChunkInfo",
     "RepairReport",
+    "Schema",
     "StoreError",
-    "StoreJournal",
-    "StoreManifest",
     "StoreVerifyResult",
-    "journal_path",
-    "read_journal",
-    "read_manifest",
-    "repair",
-    "verify_chunk_file",
-    "write_journal",
-    "write_manifest",
-    "TraceStore",
-    "open_store",
     "StoreWriter",
+    "TRACE_SCHEMA",
+    "Table",
+    "TableWriter",
+    "TraceStore",
+    "chunk_filename",
     "concat_columns",
+    "journal_path",
+    "manifest_path",
+    "open_store",
     "pack",
-    "write_chunk_file",
+    "read_index",
+    "repair",
 ]

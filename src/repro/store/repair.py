@@ -1,53 +1,56 @@
-"""Crash-consistency repair for chunked trace stores.
+"""Crash-consistency repair for stores of any schema.
 
 Two failure shapes, one entry point (:func:`repair`):
 
-* **Damaged packed store** -- a manifest exists but some chunk files are
-  torn, bit-flipped or missing.  Bad chunks are quarantined (renamed with
-  :data:`~repro.store.format.QUARANTINE_SUFFIX`) and then either rebuilt
+* **Damaged store** -- a manifest exists but some chunk files are torn,
+  bit-flipped or missing.  Bad chunks are quarantined (renamed with
+  :data:`~repro.store.table.QUARANTINE_SUFFIX`) and then either rebuilt
   from a caller-provided source trace (checksum-verified against the
-  manifest, so the rebuild is provably bit-identical to the original
-  pack) or -- when the damage is a pure tail and no source is available --
-  truncated out of the index.  Losing a *mid-stream* chunk with no source
-  is unrecoverable and raises.
+  index, so the rebuild is provably bit-identical to the original pack)
+  or -- when the damage is a pure tail and no source is available --
+  truncated out of the index.  Losing a *mid-stream* chunk with no
+  source is unrecoverable and raises.
 
-* **Killed writer** -- no manifest, but the writer's crash journal
-  (:data:`~repro.store.format.JOURNAL_NAME`) is present.  The journaled
-  chunks are re-hashed, any chunk file beyond the journal (the torn tail
-  the kill interrupted) is quarantined, and the store is finalized: with
-  a source, the missing tail is re-chunked at the journal's ``chunk_rows``
-  so the result is byte-identical to a never-crashed pack; without one,
-  the manifest covers the verified prefix.
+* **Killed writer** -- no manifest, but the writer's crash journal is
+  present.  The journaled chunks are re-hashed, any chunk file beyond
+  the journal (the torn tail the kill interrupted) is quarantined, and
+  the journal -- which carries the header as of its last flush --
+  becomes the manifest.  With a source, the missing tail is re-chunked
+  at the journal's ``chunk_rows`` first, so the result is byte-identical
+  to a never-crashed pack; without one, the manifest covers the
+  verified prefix.
 
-Every repair ends with a strict :meth:`~repro.store.reader.TraceStore.verify`
-of the repaired store, so ``repair()`` returning implies ``verify()``
-passes.
+Repair works from the store's own manifest or journal, so it needs no
+typed reader.  Rebuilding from a source needs the rows' meaning and is
+supported for trace stores only.  Every repair ends with a strict
+:meth:`~repro.store.table.Table.verify`, so ``repair()`` returning
+implies ``verify()`` passes.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Union
 
-import numpy as np
-
 from repro.trace import Trace, TraceColumns
 
-from .format import QUARANTINE_SUFFIX, chunk_filename
-from .manifest import (
-    ChunkInfo,
+from .table import (
+    QUARANTINE_SUFFIX,
+    Manifest,
+    PathLike,
     StoreError,
-    StoreManifest,
+    Table,
+    chunk_filename,
     journal_path,
     manifest_path,
-    read_journal,
-    write_manifest,
+    read_index,
+    verify_chunk_file,
+    write_chunk,
+    write_json,
 )
-from .reader import BadChunk, open_store, verify_chunk_file
-from .writer import write_chunk_file
+from .trace import TRACE_SCHEMA, as_table_columns, is_arrival_sorted
 
 
 @dataclass
@@ -82,16 +85,6 @@ class RepairReport:
         return f"{self.path}: {'; '.join(actions)} ({self.total_rows} rows)"
 
 
-def _source_columns(
-    source: Optional[Union[Trace, TraceColumns]]
-) -> Optional[TraceColumns]:
-    if source is None:
-        return None
-    if isinstance(source, Trace):
-        return source.columns()
-    return source
-
-
 def _quarantine(store_dir: Path, file_name: str, report: RepairReport) -> None:
     path = store_dir / file_name
     if path.is_file():
@@ -99,154 +92,111 @@ def _quarantine(store_dir: Path, file_name: str, report: RepairReport) -> None:
     report.quarantined.append(file_name)
 
 
-def _rebuild_chunk(
-    store_dir: Path,
-    info: ChunkInfo,
-    row_offset: int,
-    columns: TraceColumns,
-    report: RepairReport,
-) -> None:
-    """Re-write one chunk from source rows and prove it matches the index."""
-    if row_offset + info.rows > len(columns):
-        raise StoreError(
-            f"source trace has {len(columns)} rows; cannot rebuild "
-            f"{info.file} covering rows {row_offset}..{row_offset + info.rows}"
-        )
-    piece = columns.select(slice(row_offset, row_offset + info.rows))
-    written = write_chunk_file(store_dir / info.file, piece)
-    if written.sha256 != info.sha256:
-        raise StoreError(
-            f"rebuilt {info.file} does not match the recorded checksum -- "
-            "the provided source is not the trace this store was packed from"
-        )
-    report.rebuilt.append(info.file)
+def _write_trace_chunk(store_dir: Path, file_name: str, columns: TraceColumns) -> Manifest:
+    return write_chunk(store_dir / file_name, TRACE_SCHEMA, as_table_columns(columns))
 
 
 def _repair_against_index(
     store_dir: Path,
-    chunks: List[ChunkInfo],
+    chunks: List[Manifest],
     columns: Optional[TraceColumns],
     report: RepairReport,
-) -> List[ChunkInfo]:
+) -> List[Manifest]:
     """Quarantine+rebuild (or truncate) bad chunks; returns the kept index."""
-    bad: List[BadChunk] = []
-    bad_indices: List[int] = []
+    bad = []
     for index, info in enumerate(chunks):
         problem = verify_chunk_file(store_dir, info)
         if problem is not None:
-            bad.append(problem)
-            bad_indices.append(index)
+            bad.append((index, problem))
     if not bad:
         return list(chunks)
-    offsets: List[int] = []
-    position = 0
-    for info in chunks:
-        offsets.append(position)
-        position += info.rows
-    for problem, index in zip(bad, bad_indices):
+    for _, problem in bad:
         if problem.reason != "missing":
             _quarantine(store_dir, problem.file, report)
     if columns is not None:
-        for problem, index in zip(bad, bad_indices):
-            _rebuild_chunk(store_dir, chunks[index], offsets[index], columns, report)
+        for index, _ in bad:
+            info = chunks[index]
+            start = sum(previous["rows"] for previous in chunks[:index])
+            if start + info["rows"] > len(columns):
+                raise StoreError(
+                    f"source trace has {len(columns)} rows; cannot rebuild "
+                    f"{info['file']} covering rows {start}..{start + info['rows']}"
+                )
+            piece = columns.select(slice(start, start + info["rows"]))
+            if _write_trace_chunk(store_dir, info["file"], piece)["sha256"] != info["sha256"]:
+                raise StoreError(
+                    f"rebuilt {info['file']} does not match the recorded checksum -- "
+                    "the provided source is not the trace this store was packed from"
+                )
+            report.rebuilt.append(info["file"])
         return list(chunks)
     # No source: recoverable only when the damage is a pure tail.
-    first_bad = bad_indices[0]
-    if bad_indices != list(range(first_bad, len(chunks))):
+    first_bad = bad[0][0]
+    if [index for index, _ in bad] != list(range(first_bad, len(chunks))):
         raise StoreError(
-            f"chunk {chunks[first_bad].file} is damaged mid-stream and no "
+            f"chunk {chunks[first_bad]['file']} is damaged mid-stream and no "
             "source trace was provided to rebuild it"
         )
-    report.dropped_chunks.extend(chunks[i].file for i in bad_indices)
+    report.dropped_chunks.extend(info["file"] for info in chunks[first_bad:])
     return list(chunks[:first_bad])
 
 
 def repair(
-    path: Union[str, Path],
+    path: PathLike,
     source: Optional[Union[Trace, TraceColumns]] = None,
 ) -> RepairReport:
     """Detect, quarantine and (where possible) undo store damage.
 
-    ``source`` -- the trace the store was packed from, when available --
-    turns quarantines into checksum-verified rebuilds and lets a killed
-    writer's store be completed to a byte-identical clean pack.  Raises
-    :class:`~repro.store.manifest.StoreError` when the damage is
-    unrecoverable (mid-stream loss with no source, no manifest *and* no
-    journal, or a source that does not match the recorded checksums).
+    ``source`` -- the trace a trace store was packed from, when
+    available -- turns quarantines into checksum-verified rebuilds and
+    lets a killed writer's store be completed to a byte-identical clean
+    pack.  Raises :class:`~repro.store.table.StoreError` when the damage
+    is unrecoverable (mid-stream loss with no source, no manifest *and*
+    no journal, a source that does not match the recorded checksums, or
+    a source given for a store that is not a trace store).
     """
     store_dir = Path(path)
-    report = RepairReport(path=str(store_dir))
-    columns = _source_columns(source)
-    manifest_file = manifest_path(store_dir)
-    journal_file = journal_path(store_dir)
-
-    if manifest_file.is_file():
-        try:
-            raw = json.loads(manifest_file.read_text())
-        except json.JSONDecodeError as error:
-            raise StoreError(f"corrupt manifest at {manifest_file!s}: {error}") from error
-        if not isinstance(raw, dict):
-            raise StoreError(f"corrupt manifest at {manifest_file!s}: not a JSON object")
-        manifest = StoreManifest.from_dict(raw)
-        kept = _repair_against_index(store_dir, manifest.chunks, columns, report)
-        if kept != manifest.chunks:
-            manifest = StoreManifest(
-                name=manifest.name,
-                metadata=manifest.metadata,
-                chunks=kept,
-                arrival_sorted=manifest.arrival_sorted,
+    schema, manifest, from_journal = read_index(store_dir)
+    columns = None
+    if source is not None:
+        if schema.format != TRACE_SCHEMA.format:
+            raise StoreError(
+                f"{store_dir!s} is a {schema.format}; only trace stores can be "
+                "rebuilt from a source"
             )
-            write_manifest(store_dir, manifest)
-        # A crash between manifest write and journal cleanup in close()
-        # leaves both; the manifest wins.
-        if journal_file.exists():
-            journal_file.unlink()
-    elif journal_file.is_file():
-        report.used_journal = True
-        journal = read_journal(store_dir)
-        kept = _repair_against_index(store_dir, journal.chunks, columns, report)
-        journaled_files = {info.file for info in journal.chunks}
+        columns = source.columns() if isinstance(source, Trace) else source
+    report = RepairReport(path=str(store_dir), used_journal=from_journal)
+    chunks = manifest["chunks"]
+    kept = _repair_against_index(store_dir, chunks, columns, report)
+    if from_journal:
+        journaled = {info["file"] for info in chunks}
         for stray in sorted(store_dir.glob("chunk-*.bin")):
-            if stray.name not in journaled_files:
+            if stray.name not in journaled:
                 # The torn tail the kill interrupted (never journaled).
                 _quarantine(store_dir, stray.name, report)
-        arrival_sorted = journal.arrival_sorted
         if columns is not None:
             # Complete the pack: re-chunk the tail exactly as the writer
             # would have, so the result is byte-identical to a clean pack.
-            done_rows = sum(info.rows for info in kept)
-            chunk_rows = journal.chunk_rows
-            position = done_rows
+            position = sum(info["rows"] for info in kept)
             while position < len(columns):
-                take = min(chunk_rows, len(columns) - position)
-                info = write_chunk_file(
-                    store_dir / chunk_filename(len(kept)),
-                    columns.select(slice(position, position + take)),
+                stop = min(position + manifest["chunk_rows"], len(columns))
+                info = _write_trace_chunk(
+                    store_dir, chunk_filename(len(kept)), columns.select(slice(position, stop))
                 )
-                report.rebuilt.append(info.file)
+                report.rebuilt.append(info["file"])
                 kept.append(info)
-                position += take
-            arrivals = columns.arrival_us
-            arrival_sorted = bool(
-                arrivals.size < 2 or not np.any(np.diff(arrivals) < 0)
-            )
-        write_manifest(
-            store_dir,
-            StoreManifest(
-                name=journal.name,
-                metadata=journal.metadata,
-                chunks=kept,
-                arrival_sorted=arrival_sorted,
-            ),
-        )
-        journal_file.unlink()
-    else:
-        raise StoreError(
-            f"{store_dir!s} has neither a manifest nor a writer journal -- "
-            "nothing to repair from"
-        )
-
-    verified = open_store(store_dir).verify(strict=True)
-    report.total_rows = open_store(store_dir).manifest.total_rows
-    assert verified.ok  # strict verify raised otherwise
+                position = stop
+            manifest["arrival_sorted"] = is_arrival_sorted(columns.arrival_us)
+        del manifest["chunk_rows"]
+        manifest["format"] = schema.format
+    if from_journal or kept != chunks:
+        manifest["chunks"] = kept
+        manifest["total_rows"] = sum(info["rows"] for info in kept)
+        write_json(manifest_path(store_dir), manifest)
+    # A crash between manifest write and journal cleanup in close()
+    # leaves both; the manifest wins.
+    journal_path(store_dir).unlink(missing_ok=True)
+    store = Table(store_dir, schema)
+    store.verify(strict=True)
+    report.total_rows = len(store)
     return report

@@ -50,14 +50,7 @@ from .decomposition import (
     decompose_request,
 )
 from .flame import flame_summary, span_paths
-from .spanstore import (
-    SPAN_MANIFEST_NAME,
-    SpanChunk,
-    SpanStore,
-    SpanStoreError,
-    open_span_store,
-    pack_spans,
-)
+from .spanstore import SpanStore, open_span_store, pack_spans
 
 #: Environment switch: attach a telemetry sink to every experiment
 #: replay (see repro.experiments.common.replay_on).
@@ -78,9 +71,6 @@ __all__ = [
     "pack_spans",
     "open_span_store",
     "SpanStore",
-    "SpanChunk",
-    "SpanStoreError",
-    "SPAN_MANIFEST_NAME",
     "TELEMETRY_ENV",
     "S_NAME", "S_CAT", "S_TRACK", "S_PARENT", "S_START", "S_DUR",
     "E_NAME", "E_CAT", "E_TRACK", "E_TS", "E_ARGS",

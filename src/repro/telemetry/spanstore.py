@@ -1,249 +1,101 @@
-"""Chunked columnar span table -- ``repro/store``'s layout for spans.
+"""Span stores: a telemetry sink's spans in a :mod:`repro.store` table.
 
-A span store is a directory::
+Rows are spans -- ``parent`` (int64), ``name_id``/``cat_id``/
+``track_id`` (uint32 indices into the manifest's string tables) and
+``start_us``/``dur_us`` (float64) -- in the shared chunked layout (see
+``docs/trace-store.md``), so span analytics over arbitrarily large
+recordings run out of core, one memory-mapped chunk at a time.
 
-    spans/
-      spans.json        # manifest: string tables, chunk index, checksums
-      spans-00000.bin   # chunk: 6 columns, column-major, little-endian
-      spans-00001.bin
-
-Each chunk holds ``chunk_rows`` spans (the last one fewer) as six
-concatenated column arrays: ``parent`` (int64), ``name_id``/``cat_id``/
-``track_id`` (uint32 indices into the manifest's string tables), and
-``start_us``/``dur_us`` (float64).  Reads memory-map one chunk at a
-time, so span analytics over arbitrarily large recordings run out of
-core -- the same discipline as :mod:`repro.store` for request traces.
-
-Determinism: string tables are built in first-seen order, the manifest
-is serialized with sorted keys and no timestamps, and chunk bytes are a
-pure function of the spans -- packing the same recording twice (any
-process, any hash seed) produces byte-identical directories.  The
-manifest is written last via a temp file + ``os.replace``, so a crashed
-pack leaves no store that claims to be complete.
+The manifest header carries the ``names``/``cats``/``tracks`` string
+tables, built in first-seen order, and the sink's ``meta``.  Chunk
+bytes are a pure function of the spans, so packing the same recording
+twice -- any process, any hash seed -- produces byte-identical
+directories.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.store import DEFAULT_CHUNK_ROWS, Schema, Table, TableWriter
+from repro.store.table import Manifest, PathLike
+
 from .core import S_CAT, S_DUR, S_NAME, S_PARENT, S_START, S_TRACK, Telemetry
 
-#: Manifest file name inside a span-store directory.
-SPAN_MANIFEST_NAME = "spans.json"
-
-_FORMAT = "repro-span-store"
-_VERSION = 1
-
-#: Column order inside a chunk file: (field, dtype).
-_COLUMNS: Tuple[Tuple[str, str], ...] = (
-    ("parent", "<i8"),
-    ("name_id", "<u4"),
-    ("cat_id", "<u4"),
-    ("track_id", "<u4"),
-    ("start_us", "<f8"),
-    ("dur_us", "<f8"),
+#: The span store's layout.
+SPAN_SCHEMA = Schema(
+    format="repro-span-store",
+    version=2,
+    columns=(
+        ("parent", "<i8"),
+        ("name_id", "<u4"),
+        ("cat_id", "<u4"),
+        ("track_id", "<u4"),
+        ("start_us", "<f8"),
+        ("dur_us", "<f8"),
+    ),
 )
 
 
-class SpanStoreError(RuntimeError):
-    """A span store is missing, malformed, or fails verification."""
-
-
-def _intern(value: str, table: Dict[str, int], names: List[str]) -> int:
-    index = table.get(value)
-    if index is None:
-        index = len(names)
-        table[value] = index
-        names.append(value)
-    return index
+def _dictionary_code(values: Sequence[str]) -> Tuple[np.ndarray, List[str]]:
+    """``values`` as indices into a first-seen-order string table."""
+    ids: Dict[str, int] = {}
+    codes = np.fromiter(
+        (ids.setdefault(value, len(ids)) for value in values), dtype="<u4", count=len(values)
+    )
+    return codes, list(ids)
 
 
 def pack_spans(
     telemetry: Telemetry,
-    path: str,
-    chunk_rows: int = 65536,
+    path: PathLike,
+    chunk_rows: int = DEFAULT_CHUNK_ROWS,
     overwrite: bool = False,
-) -> dict:
+) -> Manifest:
     """Write ``telemetry``'s spans as a span store; returns the manifest."""
-    if chunk_rows < 1:
-        raise ValueError("chunk_rows must be positive")
-    manifest_path = os.path.join(path, SPAN_MANIFEST_NAME)
-    if os.path.exists(manifest_path) and not overwrite:
-        raise SpanStoreError(f"span store already exists at {path!r}")
-    os.makedirs(path, exist_ok=True)
-
-    names: List[str] = []
-    cats: List[str] = []
-    tracks: List[str] = []
-    name_table: Dict[str, int] = {}
-    cat_table: Dict[str, int] = {}
-    track_table: Dict[str, int] = {}
-
     spans = telemetry.spans
-    total = len(spans)
-    chunks = []
-    for offset in range(0, total, chunk_rows):
-        batch = spans[offset : offset + chunk_rows]
-        rows = len(batch)
-        columns = {
-            "parent": np.fromiter(
-                (span[S_PARENT] for span in batch), dtype="<i8", count=rows
-            ),
-            "name_id": np.fromiter(
-                (_intern(span[S_NAME], name_table, names) for span in batch),
-                dtype="<u4",
-                count=rows,
-            ),
-            "cat_id": np.fromiter(
-                (_intern(span[S_CAT], cat_table, cats) for span in batch),
-                dtype="<u4",
-                count=rows,
-            ),
-            "track_id": np.fromiter(
-                (_intern(span[S_TRACK], track_table, tracks) for span in batch),
-                dtype="<u4",
-                count=rows,
-            ),
-            "start_us": np.fromiter(
-                (span[S_START] for span in batch), dtype="<f8", count=rows
-            ),
-            "dur_us": np.fromiter(
-                (span[S_DUR] for span in batch), dtype="<f8", count=rows
-            ),
-        }
-        payload = b"".join(columns[field].tobytes() for field, _ in _COLUMNS)
-        file_name = f"spans-{len(chunks):05d}.bin"
-        with open(os.path.join(path, file_name), "wb") as handle:
-            handle.write(payload)
-        chunks.append({
-            "file": file_name,
-            "rows": rows,
-            "nbytes": len(payload),
-            "sha256": hashlib.sha256(payload).hexdigest(),
-        })
-
-    manifest = {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "total_rows": total,
-        "chunk_rows": chunk_rows,
+    name_id, names = _dictionary_code([span[S_NAME] for span in spans])
+    cat_id, cats = _dictionary_code([span[S_CAT] for span in spans])
+    track_id, tracks = _dictionary_code([span[S_TRACK] for span in spans])
+    header = {
         "names": names,
         "cats": cats,
         "tracks": tracks,
-        "chunks": chunks,
         "meta": {str(key): str(value) for key, value in telemetry.meta.items()},
     }
-    temp_path = manifest_path + ".tmp"
-    with open(temp_path, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(temp_path, manifest_path)
-    return manifest
+    writer = TableWriter(path, SPAN_SCHEMA, chunk_rows, header, overwrite)
+    writer.append(
+        {
+            "parent": np.fromiter((span[S_PARENT] for span in spans), "<i8", len(spans)),
+            "name_id": name_id,
+            "cat_id": cat_id,
+            "track_id": track_id,
+            "start_us": np.fromiter((span[S_START] for span in spans), "<f8", len(spans)),
+            "dur_us": np.fromiter((span[S_DUR] for span in spans), "<f8", len(spans)),
+        }
+    )
+    return writer.close()
 
 
-@dataclass
-class SpanChunk:
-    """One memory-mapped chunk of a span store, as column arrays."""
-
-    parent: np.ndarray
-    name_id: np.ndarray
-    cat_id: np.ndarray
-    track_id: np.ndarray
-    start_us: np.ndarray
-    dur_us: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.parent)
-
-
-class SpanStore:
+class SpanStore(Table):
     """Read-side handle on a packed span store directory."""
 
-    def __init__(self, path: str) -> None:
-        self.path = path
-        manifest_path = os.path.join(path, SPAN_MANIFEST_NAME)
-        try:
-            with open(manifest_path) as handle:
-                manifest = json.load(handle)
-        except FileNotFoundError:
-            raise SpanStoreError(f"no span store at {path!r}") from None
-        except json.JSONDecodeError as error:
-            raise SpanStoreError(
-                f"corrupt span manifest at {manifest_path!r}: {error}"
-            ) from None
-        if manifest.get("format") != _FORMAT:
-            raise SpanStoreError(
-                f"{manifest_path!r} is not a span store manifest"
-            )
-        if manifest.get("version") != _VERSION:
-            raise SpanStoreError(
-                f"unsupported span store version {manifest.get('version')!r}"
-            )
-        self.manifest = manifest
-        self.names: List[str] = manifest["names"]
-        self.cats: List[str] = manifest["cats"]
-        self.tracks: List[str] = manifest["tracks"]
-
-    def __len__(self) -> int:
-        return self.manifest["total_rows"]
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self.manifest["chunks"])
-
-    def _chunk_bytes(self, info: dict) -> np.memmap:
-        chunk_path = os.path.join(self.path, info["file"])
-        try:
-            mapped = np.memmap(chunk_path, dtype=np.uint8, mode="r")
-        except (FileNotFoundError, ValueError) as error:
-            raise SpanStoreError(
-                f"unreadable span chunk {info['file']!r}: {error}"
-            ) from None
-        if mapped.nbytes != info["nbytes"]:
-            raise SpanStoreError(
-                f"span chunk {info['file']!r} is {mapped.nbytes} bytes, "
-                f"manifest says {info['nbytes']}"
-            )
-        return mapped
-
-    def iter_chunks(self) -> Iterator[SpanChunk]:
-        """Yield each chunk's columns, one memory-mapped chunk at a time."""
-        for info in self.manifest["chunks"]:
-            mapped = self._chunk_bytes(info)
-            rows = info["rows"]
-            offset = 0
-            columns = {}
-            for field, dtype in _COLUMNS:
-                width = np.dtype(dtype).itemsize * rows
-                columns[field] = np.frombuffer(
-                    mapped, dtype=dtype, count=rows, offset=offset
-                )
-                offset += width
-            yield SpanChunk(**columns)
-
-    def verify(self) -> None:
-        """Re-hash every chunk against the manifest; raises on mismatch."""
-        for info in self.manifest["chunks"]:
-            digest = hashlib.sha256(self._chunk_bytes(info).tobytes()).hexdigest()
-            if digest != info["sha256"]:
-                raise SpanStoreError(
-                    f"span chunk {info['file']!r} fails its checksum"
-                )
+    def __init__(self, path: PathLike) -> None:
+        super().__init__(path, SPAN_SCHEMA)
+        self.names: List[str] = list(self.manifest["names"])
+        self.cats: List[str] = list(self.manifest["cats"])
+        self.tracks: List[str] = list(self.manifest["tracks"])
 
     def totals_by_name(self) -> Dict[str, Tuple[int, float]]:
         """Out-of-core ``name -> (count, total_us)`` aggregation."""
         counts = np.zeros(len(self.names), dtype=np.int64)
         totals = np.zeros(len(self.names), dtype=np.float64)
         for chunk in self.iter_chunks():
-            counts += np.bincount(chunk.name_id, minlength=len(self.names))
+            counts += np.bincount(chunk["name_id"], minlength=len(self.names))
             totals += np.bincount(
-                chunk.name_id, weights=chunk.dur_us, minlength=len(self.names)
+                chunk["name_id"], weights=chunk["dur_us"], minlength=len(self.names)
             )
         return {
             name: (int(counts[index]), float(totals[index]))
@@ -251,6 +103,6 @@ class SpanStore:
         }
 
 
-def open_span_store(path: str) -> SpanStore:
+def open_span_store(path: PathLike) -> SpanStore:
     """Open a packed span store directory for reading."""
     return SpanStore(path)

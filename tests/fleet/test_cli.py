@@ -6,6 +6,7 @@ import pytest
 
 from repro.fleet import FleetScenario
 from repro.fleet.cli import _parse_mix, _parse_range, main
+from repro.store import manifest_path
 
 
 @pytest.fixture()
@@ -46,7 +47,7 @@ class TestRun:
             "--configs", "small-4PS", "-o", str(out),
         ])
         assert code == 0
-        assert (out / "fleet.json").exists()
+        assert manifest_path(out).exists()
         assert "simulated 3 devices" in capsys.readouterr().out
 
     def test_run_refuses_to_clobber(self, small_store, capsys):
@@ -107,7 +108,7 @@ class TestStats:
 
     def test_stats_missing_store_fails(self, tmp_path, capsys):
         assert main(["stats", str(tmp_path / "nope")]) == 1
-        assert "no fleet store" in capsys.readouterr().err
+        assert "no repro-fleet-store" in capsys.readouterr().err
 
 
 class TestShowDevice:

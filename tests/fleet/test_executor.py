@@ -9,7 +9,7 @@ from repro.fleet import (
     run_fleet,
     simulate_device,
 )
-from repro.fleet.store import FLEET_MANIFEST_NAME
+from repro.store import manifest_path
 
 
 def _scenario(**overrides):
@@ -143,6 +143,6 @@ class TestManifestDeterminism:
         scenario = _scenario(devices=9)
         run_fleet(scenario, tmp_path / "a", jobs=1, shard_devices=2)
         run_fleet(scenario, tmp_path / "b", jobs=4, shard_devices=2)
-        a = (tmp_path / "a" / FLEET_MANIFEST_NAME).read_bytes()
-        b = (tmp_path / "b" / FLEET_MANIFEST_NAME).read_bytes()
+        a = manifest_path(tmp_path / "a").read_bytes()
+        b = manifest_path(tmp_path / "b").read_bytes()
         assert a == b

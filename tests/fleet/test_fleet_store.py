@@ -1,12 +1,24 @@
-"""Unit tests for the chunked columnar fleet store."""
+"""Unit tests for the fleet store.
 
-import json
+Manifest validation and chunk damage are the shared container's and are
+checked for every schema in ``tests/store/test_container.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.fleet import FleetScenario, FleetStoreError, FleetStoreWriter, open_fleet_store
-from repro.fleet.store import FLEET_COLUMNS, FLEET_MANIFEST_NAME
+from repro.faults import FaultPlan, corrupt_chunk, tear_chunk
+from repro.fleet import (
+    FleetScenario,
+    FleetStore,
+    FleetStoreError,
+    FleetStoreWriter,
+    open_fleet_store,
+    run_fleet,
+)
+from repro.fleet.store import FLEET_COLUMNS
+from repro.store import StoreError, chunk_filename, journal_path, manifest_path, repair
+from repro.trace import Trace
 
 
 def _scenario(devices=10):
@@ -68,8 +80,8 @@ class TestWriter:
             with FleetStoreWriter(tmp_path / "f", _scenario()) as writer:
                 writer.append_row(_row(0))
                 raise RuntimeError("boom")
-        assert not (tmp_path / "f" / FLEET_MANIFEST_NAME).exists()
-        with pytest.raises(FleetStoreError, match="no fleet store"):
+        assert not manifest_path(tmp_path / "f").exists()
+        with pytest.raises(FleetStoreError, match="no repro-fleet-store"):
             open_fleet_store(tmp_path / "f")
 
     def test_context_manager_finalizes_clean_exit(self, tmp_path):
@@ -80,8 +92,8 @@ class TestWriter:
     def test_manifest_has_no_timestamps_and_is_byte_stable(self, tmp_path):
         _pack(tmp_path / "a")
         _pack(tmp_path / "b")
-        a = (tmp_path / "a" / FLEET_MANIFEST_NAME).read_bytes()
-        b = (tmp_path / "b" / FLEET_MANIFEST_NAME).read_bytes()
+        a = manifest_path(tmp_path / "a").read_bytes()
+        b = manifest_path(tmp_path / "b").read_bytes()
         assert a == b
 
 
@@ -138,51 +150,40 @@ class TestReader:
         assert store.configs == ["small-HPS", "small-4PS"]
 
 
-class TestVerification:
-    def test_verify_accepts_intact_store(self, tmp_path):
-        _pack(tmp_path / "f")
-        open_fleet_store(tmp_path / "f").verify()
-
-    def test_verify_catches_flipped_byte(self, tmp_path):
-        _pack(tmp_path / "f")
-        chunk = tmp_path / "f" / "devices-00000.bin"
-        blob = bytearray(chunk.read_bytes())
-        blob[10] ^= 0xFF
-        chunk.write_bytes(bytes(blob))
-        with pytest.raises(FleetStoreError, match="checksum"):
-            open_fleet_store(tmp_path / "f").verify()
-
-    def test_truncated_chunk_is_detected_on_read(self, tmp_path):
-        _pack(tmp_path / "f")
-        chunk = tmp_path / "f" / "devices-00000.bin"
-        chunk.write_bytes(chunk.read_bytes()[:-8])
-        store = open_fleet_store(tmp_path / "f")
-        with pytest.raises(FleetStoreError, match="bytes"):
-            store.device_row(0)
-
-    def test_missing_store_raises(self, tmp_path):
-        with pytest.raises(FleetStoreError, match="no fleet store"):
-            open_fleet_store(tmp_path / "missing")
-
-    def test_corrupt_manifest_raises(self, tmp_path):
+class TestCrashConsistency:
+    def test_killed_writer_is_refused_then_repaired(self, tmp_path):
         path = tmp_path / "f"
-        _pack(path)
-        (path / FLEET_MANIFEST_NAME).write_text("{not json")
-        with pytest.raises(FleetStoreError, match="corrupt"):
-            open_fleet_store(path)
+        with pytest.raises(RuntimeError, match="boom"):
+            with FleetStoreWriter(path, _scenario(10), chunk_devices=4) as writer:
+                writer.append_rows([_row(i) for i in range(10)])
+                raise RuntimeError("boom")
+        assert journal_path(path).is_file() and not manifest_path(path).exists()
+        with pytest.raises(FleetStoreError, match="journal"):
+            run_fleet(_scenario(10), path)
 
-    def test_foreign_manifest_raises(self, tmp_path):
-        path = tmp_path / "f"
-        path.mkdir()
-        (path / FLEET_MANIFEST_NAME).write_text(json.dumps({"format": "other"}))
-        with pytest.raises(FleetStoreError, match="not a fleet store"):
-            open_fleet_store(path)
+        report = repair(path)
+        assert report.used_journal and report.total_rows == 8
+        store = FleetStore(path)
+        assert len(store) == 8
+        assert store.request_summary is None
+        assert store.verify().ok
+        assert store.scenario() == _scenario(10)
+        assert [store.device_row(i) for i in range(8)] == [_row(i) for i in range(8)]
 
-    def test_schema_mismatch_raises(self, tmp_path):
+    def test_store_damage_tools_work_on_fleet_stores(self, tmp_path):
         path = tmp_path / "f"
-        _pack(path)
-        manifest = json.loads((path / FLEET_MANIFEST_NAME).read_text())
-        manifest["columns"][0][0] = "renamed"
-        (path / FLEET_MANIFEST_NAME).write_text(json.dumps(manifest))
-        with pytest.raises(FleetStoreError, match="schema"):
-            open_fleet_store(path)
+        _pack(path, devices=10, chunk_devices=4)
+        damage = corrupt_chunk(path, FaultPlan(seed=3), chunk_index=2)
+        result = FleetStore(path).verify(strict=False)
+        assert [(bad.file, bad.reason) for bad in result.bad_chunks] == [
+            (damage.file, "corrupt")
+        ]
+        with pytest.raises(StoreError, match="only trace stores"):
+            repair(path, source=Trace("other", []))
+        report = repair(path)
+        assert report.dropped_chunks == [chunk_filename(2)]
+        assert len(FleetStore(path)) == 8
+
+        tear_chunk(path, chunk_index=0)
+        with pytest.raises(StoreError, match="mid-stream"):
+            repair(path)

@@ -34,7 +34,7 @@ from repro.analysis import (
     size_stats,
     timing_stats,
 )
-from repro.store import ROW_NBYTES, pack
+from repro.store import TRACE_SCHEMA, pack
 from repro.workloads import generate_trace
 
 pytestmark = pytest.mark.skipif(
@@ -101,7 +101,7 @@ def capped_run(tmp_path_factory):
             "-c",
             _SCRIPT,
             str(path),
-            str(SCALED_ROWS * ROW_NBYTES),
+            str(SCALED_ROWS * TRACE_SCHEMA.row_nbytes),
             str(MARGIN_BYTES),
         ],
         env=env,
@@ -132,4 +132,4 @@ class TestOutOfCore:
     def test_store_dwarfs_the_anonymous_margin(self, capped_run):
         # Guard against the scenario silently degenerating: the probe is
         # only meaningful while the store is much larger than the margin.
-        assert SCALED_ROWS * ROW_NBYTES > 1.5 * MARGIN_BYTES
+        assert SCALED_ROWS * TRACE_SCHEMA.row_nbytes > 1.5 * MARGIN_BYTES

@@ -1,27 +1,30 @@
-"""Unit and integration tests for :mod:`repro.store`."""
+"""Unit and integration tests for the trace store.
 
-import json
+Manifest validation and chunk damage are the shared container's and are
+checked for every schema in ``test_container.py``.
+"""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.store import (
-    CHUNK_COLUMNS,
-    COLUMN_DTYPES,
     DEFAULT_CHUNK_ROWS,
     MANIFEST_NAME,
-    ROW_NBYTES,
+    TRACE_SCHEMA,
     StoreError,
     StoreWriter,
     chunk_filename,
     concat_columns,
     open_store,
     pack,
-    read_manifest,
 )
 from repro.streaming import chunked
-from repro.trace import Op, Request, Trace
+from repro.trace import Op, Request, SECTOR, Trace
 from repro.workloads import generate_trace
+
+COLUMN_NAMES = [name for name, _ in TRACE_SCHEMA.columns]
 
 
 def _trace(n=500, seed=9, name="Email"):
@@ -30,8 +33,7 @@ def _trace(n=500, seed=9, name="Email"):
 
 class TestFormat:
     def test_row_width_matches_schema(self):
-        widths = {"<f8": 8, "<i8": 8, "|u1": 1}
-        assert ROW_NBYTES == sum(widths[COLUMN_DTYPES[c]] for c in CHUNK_COLUMNS)
+        assert TRACE_SCHEMA.row_nbytes == 3 * 8 + 2 * 8 + 2 * 1
 
     def test_chunk_filenames_sort_lexicographically(self):
         names = [chunk_filename(i) for i in (0, 1, 9, 10, 99, 100)]
@@ -73,9 +75,9 @@ class TestPackAndOpen:
         manifest_a = (tmp_path / "a" / MANIFEST_NAME).read_bytes()
         manifest_b = (tmp_path / "b" / MANIFEST_NAME).read_bytes()
         assert manifest_a == manifest_b
-        for info in read_manifest(tmp_path / "a").chunks:
-            assert (tmp_path / "a" / info.file).read_bytes() == (
-                tmp_path / "b" / info.file
+        for info in open_store(tmp_path / "a").chunk_infos:
+            assert (tmp_path / "a" / info["file"]).read_bytes() == (
+                tmp_path / "b" / info["file"]
             ).read_bytes()
 
     def test_refuses_overwrite_without_flag(self, tmp_path):
@@ -101,7 +103,7 @@ class TestWriter:
         for start, stop in [(0, 1), (1, 150), (150, 155), (155, 321)]:
             writer.append_columns(columns.select(slice(start, stop)))
         manifest = writer.close()
-        assert [c.rows for c in manifest.chunks] == [100, 100, 100, 21]
+        assert [c["rows"] for c in manifest["chunks"]] == [100, 100, 100, 21]
         assert list(open_store(tmp_path / "s").to_trace()) == list(trace)
 
     def test_append_after_close_rejected(self, tmp_path):
@@ -127,21 +129,21 @@ class TestWriter:
         store = open_store(tmp_path / "s")
         assert len(store) == 20
         assert writer.manifest is not None
-        assert writer.manifest.total_rows == 20
+        assert writer.manifest["total_rows"] == 20
 
     def test_unsorted_stream_flagged(self, tmp_path):
         writer = StoreWriter(tmp_path / "s", name="t")
         writer.append_requests(
             [Request(5.0, 0, 4096, Op.READ), Request(1.0, 4096, 4096, Op.READ)]
         )
-        assert writer.close().arrival_sorted is False
+        assert writer.close()["arrival_sorted"] is False
 
     def test_sorted_across_batches_flagged_sorted(self, tmp_path):
         writer = StoreWriter(tmp_path / "s", name="t")
         writer.append_requests([Request(1.0, 0, 4096, Op.READ)])
         writer.append_requests([Request(1.0, 0, 4096, Op.READ)])  # ties allowed
         writer.append_requests([Request(2.0, 0, 4096, Op.READ)])
-        assert writer.close().arrival_sorted is True
+        assert writer.close()["arrival_sorted"] is True
 
 
 class TestReader:
@@ -163,7 +165,7 @@ class TestReader:
         pack(trace, tmp_path / "s", chunk_rows=64)
         columns = open_store(tmp_path / "s").columns()
         source = trace.columns()
-        for name in CHUNK_COLUMNS:
+        for name in COLUMN_NAMES:
             np.testing.assert_array_equal(getattr(columns, name),
                                           getattr(source, name))
 
@@ -173,8 +175,8 @@ class TestReader:
         store = open_store(tmp_path / "s")
         infos = store.chunk_infos
         # A range strictly inside the 4th chunk's arrival span.
-        start = infos[3].min_arrival_us
-        end = infos[3].max_arrival_us
+        start = infos[3]["min_arrival_us"]
+        end = infos[3]["max_arrival_us"]
         opened_before = store.chunks_opened
         selected = store.select_arrival_range(start, end)
         assert store.chunks_opened - opened_before == len(
@@ -204,51 +206,57 @@ class TestReader:
         assert len(writes) == int(np.count_nonzero(trace.columns().write_mask))
         assert bool(writes.op.all())
 
-    def test_verify_detects_corruption(self, tmp_path):
-        pack(_trace(100), tmp_path / "s", chunk_rows=40)
-        store = open_store(tmp_path / "s")
-        store.verify()
-        target = tmp_path / "s" / store.chunk_infos[1].file
-        payload = bytearray(target.read_bytes())
-        payload[10] ^= 0xFF
-        target.write_bytes(bytes(payload))
-        with pytest.raises(StoreError, match="checksum"):
-            open_store(tmp_path / "s").verify()
 
-    def test_verify_detects_truncation(self, tmp_path):
-        pack(_trace(100), tmp_path / "s", chunk_rows=40)
-        store = open_store(tmp_path / "s")
-        target = tmp_path / "s" / store.chunk_infos[0].file
-        target.write_bytes(target.read_bytes()[:-8])
-        with pytest.raises(StoreError, match="bytes on disk"):
-            open_store(tmp_path / "s").verify()
-
-
-class TestManifestValidation:
-    def test_rejects_tampered_schema(self, tmp_path):
-        pack(_trace(50), tmp_path / "s")
-        path = tmp_path / "s" / MANIFEST_NAME
-        payload = json.loads(path.read_text())
-        payload["columns"]["lba"] = "<i4"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(StoreError, match="schema"):
-            open_store(tmp_path / "s")
-
-    def test_rejects_wrong_version(self, tmp_path):
-        pack(_trace(50), tmp_path / "s")
-        path = tmp_path / "s" / MANIFEST_NAME
-        payload = json.loads(path.read_text())
-        payload["version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(StoreError, match="version"):
-            open_store(tmp_path / "s")
-
-    def test_rejects_missing_chunk_file(self, tmp_path):
-        pack(_trace(150), tmp_path / "s", chunk_rows=50)
-        (tmp_path / "s" / chunk_filename(1)).unlink()
-        with pytest.raises(StoreError, match="missing"):
-            open_store(tmp_path / "s")
-
+class TestDefaults:
     def test_default_chunk_rows_sane(self):
         assert DEFAULT_CHUNK_ROWS > 0
-        assert DEFAULT_CHUNK_ROWS * ROW_NBYTES < 64 * 1024 * 1024
+        assert DEFAULT_CHUNK_ROWS * TRACE_SCHEMA.row_nbytes < 64 * 1024 * 1024
+
+
+def _pinned_trace(num=700):
+    """Hand-built (not generated) so the pin survives generator changes."""
+    requests = []
+    for i in range(num):
+        arrival = i * 12.5 + (i % 7) * 0.25
+        timed = i % 2 == 0
+        requests.append(
+            Request(
+                arrival_us=arrival,
+                lba=(i * 37 % 509) * SECTOR,
+                size=(1 + i % 4) * SECTOR,
+                op=Op.WRITE if i % 3 else Op.READ,
+                service_start_us=arrival + 3.0 if timed else None,
+                finish_us=arrival + 3.0 + (i % 5) * 41.5 if timed else None,
+            )
+        )
+    return Trace("pinned", requests, metadata={"app": "pinned", "seed": "0"})
+
+
+#: sha256 of every file of the packed pinned trace, per chunk size.  The
+#: trace-store format is a compatibility contract: a change to any digest
+#: is a format change and needs a version bump, not a new digest.
+PINNED_DIGESTS = {
+    128: {
+        "chunk-000000.bin": "0f55e873a37277a2894dbc922450ec3e45ab39e135e34254be631ae251ff5a83",
+        "chunk-000001.bin": "9617266da52a6fb53b6b00ea19a93accbc291f27285eb67c379a2cb03c21d2f1",
+        "chunk-000002.bin": "a1950b477d6290338c6c4349d03600fef4d53dae65ffa15958d4c3338e053074",
+        "chunk-000003.bin": "1aa50e53385095acc638a511ae2bb396365a1c95ae6d1b2d4ef53391caa79ead",
+        "chunk-000004.bin": "e7ea5e1e5f52c50b1fcd3df6cab575cc3ea1440a844972ddca709dabce48ba7c",
+        "chunk-000005.bin": "bce500c17cc80b905c27f9bceba1035fd24fc4c1d7d9c99d9059638145c4e2b7",
+        "manifest.json": "6366328faa87a98182b5cb70717eda83dd2a708b9e207c14e887155678bd5434",
+    },
+    700: {
+        "chunk-000000.bin": "38930d5972358eaf9f2235992df3953ab0928312787bb704f1a1d39fcf780679",
+        "manifest.json": "8cc093067a1868eba390236bc0b278e3dd02b483387f60f670324e716d885821",
+    },
+}
+
+
+@pytest.mark.parametrize("chunk_rows", sorted(PINNED_DIGESTS))
+def test_pack_bytes_are_pinned(tmp_path, chunk_rows):
+    pack(_pinned_trace(), tmp_path / "s", chunk_rows=chunk_rows)
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((tmp_path / "s").iterdir())
+    }
+    assert digests == PINNED_DIGESTS[chunk_rows]

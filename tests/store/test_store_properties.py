@@ -1,10 +1,10 @@
-"""Property-based hardening of the trace store's round-trip and
-integrity contracts.
+"""Property-based hardening of the stores' round-trip and integrity
+contracts.
 
 * pack -> open -> ``to_trace`` is the identity for arbitrary request
   lists and arbitrary chunk sizes;
 * ``verify()`` catches *any* single flipped byte anywhere in any chunk
-  file and names the damaged chunk.
+  file of a store of any schema and names the damaged chunk.
 """
 
 import shutil
@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from repro.store import StoreError, open_store, pack
 from repro.trace import Op, Request, SECTOR, Trace
+
+from .kinds import KINDS
 
 requests_strategy = st.lists(
     st.builds(
@@ -46,64 +48,46 @@ def test_pack_round_trip_is_identity(requests, chunk_rows):
         shutil.rmtree(root)
 
 
+@pytest.fixture(scope="module", params=KINDS, ids=str)
+def multi_chunk_store(request, tmp_path_factory):
+    """One store per schema, shared by every example: the property
+    quantifies over damage positions, and each example restores the byte
+    it flipped."""
+    path = tmp_path_factory.mktemp(request.param.name) / "store"
+    request.param.pack(path, 900, 250)
+    store = request.param.open(path)
+    layout = [(path / info["file"], info["nbytes"]) for info in store.chunk_infos]
+    assert len(layout) > 1  # the property should span chunk files
+    return request.param, path, layout
+
+
 class TestVerifyCatchesEveryFlippedByte:
     """Flip one byte at an arbitrary position; verify must notice."""
 
-    #: One store shared by every example -- the property quantifies over
-    #: damage positions, and each example restores the byte it flipped.
-    root = None
-    store_dir = None
-    layout = None  # [(path, nbytes, file_name), ...] in chunk order
-    total = 0
-
-    @classmethod
-    def setup_class(cls):
-        cls.root = Path(tempfile.mkdtemp())
-        cls.store_dir = cls.root / "store"
-        requests = [
-            Request(
-                arrival_us=i * 10.0,
-                lba=(i % 97) * SECTOR,
-                size=SECTOR,
-                op=Op.WRITE if i % 3 else Op.READ,
-            )
-            for i in range(900)
-        ]
-        pack(Trace("prop", requests), cls.store_dir, chunk_rows=250)
-        store = open_store(cls.store_dir)
-        cls.layout = [
-            (cls.store_dir / info.file, info.nbytes, info.file)
-            for info in store.chunk_infos
-        ]
-        cls.total = sum(nbytes for _, nbytes, _ in cls.layout)
-        assert len(cls.layout) > 1  # the property should span chunk files
-
-    @classmethod
-    def teardown_class(cls):
-        shutil.rmtree(cls.root)
-
-    def _locate(self, position):
-        for path, nbytes, file_name in self.layout:
+    @staticmethod
+    def _locate(layout, position):
+        for path, nbytes in layout:
             if position < nbytes:
-                return path, position, file_name
+                return path, position
             position -= nbytes
         raise AssertionError("position beyond store payload")
 
     @given(position=st.integers(min_value=0), flip=st.integers(min_value=1, max_value=255))
     @settings(max_examples=80, deadline=None)
-    def test_single_flipped_byte_is_caught(self, position, flip):
-        position %= self.total
-        path, offset, file_name = self._locate(position)
+    def test_single_flipped_byte_is_caught(self, multi_chunk_store, position, flip):
+        kind, store_dir, layout = multi_chunk_store
+        position %= sum(nbytes for _, nbytes in layout)
+        path, offset = self._locate(layout, position)
         with open(path, "r+b") as handle:
             handle.seek(offset)
             original = handle.read(1)[0]
             handle.seek(offset)
             handle.write(bytes([original ^ flip]))
         try:
-            store = open_store(self.store_dir)
+            store = kind.open(store_dir)
             result = store.verify(strict=False)
             assert not result.ok
-            assert [bad.file for bad in result.bad_chunks] == [file_name]
+            assert [bad.file for bad in result.bad_chunks] == [path.name]
             assert result.bad_chunks[0].reason == "corrupt"
             with pytest.raises(StoreError, match="checksum mismatch"):
                 store.verify()
@@ -111,4 +95,4 @@ class TestVerifyCatchesEveryFlippedByte:
             with open(path, "r+b") as handle:
                 handle.seek(offset)
                 handle.write(bytes([original]))
-        assert open_store(self.store_dir).verify().ok
+        assert kind.open(store_dir).verify().ok

@@ -1,4 +1,9 @@
-"""Chrome-trace, flame-summary and span-store exporters."""
+"""Chrome-trace, flame-summary and span-store exporters.
+
+The span store's manifest validation, damage detection and overwrite
+guard are the shared container's, checked for every schema in
+``tests/store/test_container.py``.
+"""
 
 import json
 
@@ -6,9 +11,8 @@ import pytest
 
 from repro.emmc import EmmcDevice, small_four_ps
 from repro.sim import Host
+from repro.store import manifest_path
 from repro.telemetry import (
-    SPAN_MANIFEST_NAME,
-    SpanStoreError,
     Telemetry,
     chrome_trace,
     chrome_trace_events,
@@ -122,16 +126,17 @@ class TestSpanStore:
         assert len(store) == len(recorded.spans)
         rows = 0
         for chunk in store.iter_chunks():
-            assert len(chunk.parent) == len(chunk.dur_us)
-            rows += len(chunk)
+            assert len(chunk["parent"]) == len(chunk["dur_us"])
+            rows += len(chunk["parent"])
         assert rows == len(recorded.spans)
         # Columns decode back to the original tuples.
         chunk = next(store.iter_chunks())
         name, cat, track, parent, start, dur = recorded.spans[0]
-        assert store.names[chunk.name_id[0]] == name
-        assert store.tracks[chunk.track_id[0]] == track
-        assert chunk.parent[0] == parent
-        assert chunk.start_us[0] == start and chunk.dur_us[0] == dur
+        assert store.names[chunk["name_id"][0]] == name
+        assert store.cats[chunk["cat_id"][0]] == cat
+        assert store.tracks[chunk["track_id"][0]] == track
+        assert chunk["parent"][0] == parent
+        assert chunk["start_us"][0] == start and chunk["dur_us"][0] == dur
 
     def test_totals_by_name_matches_in_memory(self, recorded, tmp_path):
         store_dir = tmp_path / "spans"
@@ -148,31 +153,10 @@ class TestSpanStore:
         for name, (count, _) in expected.items():
             assert totals[name][0] == count
 
-    def test_corruption_is_detected(self, recorded, tmp_path):
-        store_dir = tmp_path / "spans"
-        manifest = pack_spans(recorded, str(store_dir))
-        chunk_path = store_dir / manifest["chunks"][0]["file"]
-        data = bytearray(chunk_path.read_bytes())
-        data[10] ^= 0xFF
-        chunk_path.write_bytes(bytes(data))
-        with pytest.raises(SpanStoreError, match="checksum"):
-            open_span_store(str(store_dir)).verify()
-
-    def test_overwrite_guard(self, recorded, tmp_path):
-        store_dir = tmp_path / "spans"
-        pack_spans(recorded, str(store_dir))
-        with pytest.raises(SpanStoreError, match="already exists"):
-            pack_spans(recorded, str(store_dir))
-        pack_spans(recorded, str(store_dir), overwrite=True)
-
-    def test_missing_store_raises(self, tmp_path):
-        with pytest.raises(SpanStoreError, match="no span store"):
-            open_span_store(str(tmp_path / "absent"))
-
     def test_manifest_is_deterministic(self, recorded, tmp_path):
         a = pack_spans(recorded, str(tmp_path / "a"))
         b = pack_spans(recorded, str(tmp_path / "b"))
         assert a == b
-        assert (tmp_path / "a" / SPAN_MANIFEST_NAME).read_bytes() == (
-            tmp_path / "b" / SPAN_MANIFEST_NAME
-        ).read_bytes()
+        assert manifest_path(tmp_path / "a").read_bytes() == (
+            manifest_path(tmp_path / "b").read_bytes()
+        )

@@ -163,7 +163,7 @@ class TestStore:
 
         opened = open_store(store)
         assert len(opened) == 1
-        assert opened.manifest.metadata["source"] == "blkparse"
+        assert opened.metadata["source"] == "blkparse"
 
     def test_info_reports_manifest(self, tmp_path, capsys):
         path = self._packed(tmp_path, capsys)

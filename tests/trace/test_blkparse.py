@@ -173,5 +173,5 @@ class TestBlkparseStoreRoundTrip:
         # (an unsorted store exercises the stable-sort materialization).
         streamed = [r for batch in iter_requests(text, batch_size=37) for r in batch]
         arrivals = [r.arrival_us for r in streamed]
-        assert manifest.arrival_sorted == (arrivals == sorted(arrivals))
-        assert manifest.arrival_sorted is False  # this log interleaves
+        assert manifest["arrival_sorted"] == (arrivals == sorted(arrivals))
+        assert manifest["arrival_sorted"] is False  # this log interleaves

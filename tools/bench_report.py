@@ -162,6 +162,7 @@ def bench_fleet(devices, requests, seed, rounds):
     from pathlib import Path
 
     from repro.fleet import FleetScenario, run_fleet
+    from repro.store import manifest_path
 
     scenario = FleetScenario(
         devices=devices,
@@ -174,7 +175,7 @@ def bench_fleet(devices, requests, seed, rounds):
     )
 
     def digest(path):
-        return hashlib.sha256((path / "fleet.json").read_bytes()).hexdigest()
+        return hashlib.sha256(manifest_path(path).read_bytes()).hexdigest()
 
     serial_best = parallel_best = float("inf")
     with tempfile.TemporaryDirectory() as tmp:
