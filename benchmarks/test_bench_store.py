@@ -1,8 +1,8 @@
 """Binary store + streaming stats vs the CSV write/read/batch pipeline.
 
-The trace-store PR promises that persisting a trace and computing its
+The trace store promises that persisting a trace and computing its
 full summary is at least 3x faster through ``repro.store`` +
-``repro.streaming`` (binary columnar chunks, one memmap-backed pass)
+``repro.metrics`` (binary columnar chunks, one memmap-backed pass)
 than through the CSV round trip (vectorized ``dumps``/``loads``) plus
 the in-memory batch kernels.  Both sides produce the complete Table
 III/IV + Figs. 4-6 statistic bundle; the results must be *identical*
@@ -20,8 +20,8 @@ from repro.analysis import (
     size_stats,
     timing_stats,
 )
+from repro.metrics import fold_chunks, summary_metrics
 from repro.store import open_store, pack
-from repro.streaming import summarize_store
 from repro.trace import dumps, loads
 from repro.workloads import generate_trace
 
@@ -51,13 +51,14 @@ def _csv_pipeline(trace, path):
 def _store_pipeline(trace, path):
     """Pack to a chunked store, summarize it in one streaming pass."""
     pack(trace, path)
-    summary = summarize_store(open_store(path))
+    store = open_store(path)
+    summary = fold_chunks(summary_metrics(), store.iter_chunks(), store.name)
     return (
-        summary.size,
-        summary.timing,
-        summary.size_distribution,
-        summary.response_distribution,
-        summary.interarrival_distribution,
+        summary["size_stats"],
+        summary["timing_stats"],
+        summary["size_distribution"],
+        summary["response_distribution"],
+        summary["interarrival_distribution"],
     )
 
 

@@ -2,7 +2,7 @@
 
 Each figure is a per-application stacked histogram; here a distribution is
 a ``{bucket label: fraction}`` dict over the paper's bucket edges (see
-:mod:`repro.workloads.buckets`).
+:mod:`repro.metrics.buckets`).
 
 Thin adapter: the three distribution kernels live in
 :mod:`repro.metrics.histograms` (one definition, three engines); the

@@ -41,8 +41,8 @@ Subcommands::
         Stream a store back out as trace CSV, chunk by chunk.
 
     repro-trace store stats store-dir
-        The ``stats`` table, computed out-of-core with the streaming
-        summaries (one memory-mapped chunk resident at a time).
+        The ``stats`` table, computed out-of-core through the metric
+        registry (one memory-mapped chunk resident at a time).
 
     repro-trace store repair store-dir [--source trace.csv]
         Detect and undo store damage: quarantine torn/corrupt chunks,
@@ -166,17 +166,31 @@ def _stats_table(name: str, sizes, timing, completed: bool) -> str:
     return render_table(["Metric", "Value"], rows, title=f"Trace {name!r}")
 
 
+def _fold_stats(chunks, name: str):
+    """``(sizes, timing, completed)`` of a chunk stream, folded in one pass.
+
+    The out-of-core engine over the two metrics the stats table prints,
+    with O(1) float state; ``completed`` says whether every request
+    carried device timestamps (the service/response rows).
+    """
+    from repro.metrics import SIZE_STATS, TIMING_STATS, MetricSetState
+
+    state = MetricSetState([SIZE_STATS, TIMING_STATS], collapse=True)
+    for chunk in chunks:
+        state.update(chunk)
+    values = state.finalize(name)
+    completed = state.states[TIMING_STATS.name].completed
+    return values[SIZE_STATS.name], values[TIMING_STATS.name], completed
+
+
 def _cmd_stats(args) -> int:
     trace = read_trace(args.trace)
     if args.engine == "streaming":
-        from repro.streaming import StreamingTraceSummary, chunked
+        from repro.metrics import chunked
 
-        summary = StreamingTraceSummary(collapse=True)
-        for chunk in chunked(trace.columns(), 65536):
-            summary.update(chunk)
-        completed = summary.timing.completed
-        result = summary.finalize(trace.name)
-        sizes, timing = result.size, result.timing
+        sizes, timing, completed = _fold_stats(
+            chunked(trace.columns(), 65536), trace.name
+        )
     else:
         sizes, timing = size_stats(trace), timing_stats(trace)
         completed = trace.completed
@@ -295,16 +309,13 @@ def _cmd_store_cat(args) -> int:
 
 def _cmd_store_stats(args) -> int:
     from repro.store import open_store
-    from repro.streaming import StreamingTraceSummary
 
     store = open_store(args.store)
-    summary = StreamingTraceSummary(collapse=True)
-    for chunk in store.iter_chunks(chunk_rows=args.chunk_rows):
-        summary.update(chunk)
-    completed = summary.timing.completed
-    result = summary.finalize(store.name)
+    sizes, timing, completed = _fold_stats(
+        store.iter_chunks(chunk_rows=args.chunk_rows), store.name
+    )
     print("[engine: streaming (out-of-core)]", file=sys.stderr)
-    print(_stats_table(store.name, result.size, result.timing, completed))
+    print(_stats_table(store.name, sizes, timing, completed))
     return 0
 
 

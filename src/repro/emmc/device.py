@@ -213,7 +213,6 @@ class EmmcDevice:
         self.telemetry = telemetry
         if telemetry is not None:
             self.kernel.telemetry = telemetry
-            self.kernel._auto_sink = False
             attach = getattr(self.ftl, "attach_telemetry", None)
             if attach is not None:
                 attach(telemetry, self.kernel.clock)

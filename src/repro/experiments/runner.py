@@ -28,7 +28,7 @@ import json
 import pstats
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.workloads import DEFAULT_SEED
 
@@ -37,12 +37,6 @@ from .cache import NullCache, ResultCache
 from .common import ExperimentResult
 from .registry import REGISTRY, select
 from .spec import ExperimentSpec
-
-#: Backwards-compatible view of the registry: id -> ``f(seed, n)``.
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    experiment_id: spec.call for experiment_id, spec in REGISTRY.items()
-}
-
 
 def run_experiments(
     ids: Optional[List[str]] = None,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.emmc import DeviceConfig, EmmcDevice
@@ -52,18 +52,12 @@ class FaultReplayResult:
     recovery: Optional[RecoveryReport]
     #: Requests re-armed after recovery (always a suffix of the trace).
     resubmitted: int
-    #: Kernel event trace tuples ``(time_us, priority, seq, kind, label)``
-    #: (``record_events=True`` only).  After a power loss this holds the
-    #: *post-recovery* events -- the pre-cut kernel, like the real
-    #: device's volatile state, is gone.
-    events: List = field(default_factory=list)
 
 
 def replay_with_faults(
     config: DeviceConfig,
     trace: Trace,
     plan: FaultPlan,
-    record_events: bool = False,
 ) -> FaultReplayResult:
     """Replay ``trace`` on a fresh device built with ``plan``.
 
@@ -72,7 +66,6 @@ def replay_with_faults(
     the device and no cut is armed.
     """
     device = EmmcDevice(config, faults=plan)
-    device.kernel.record_events = record_events
     requests = list(trace.without_timing())
     boxes: List[List[Request]] = []
     for request in requests:
@@ -115,7 +108,6 @@ def replay_with_faults(
         interrupted=interrupted,
         recovery=recovery,
         resubmitted=resubmitted,
-        events=list(device.kernel.event_trace) if record_events else [],
     )
 
 

@@ -4,8 +4,8 @@ Fig. 4 and Fig. 7a bucket request sizes; Fig. 5 and Fig. 7b bucket response
 times; Fig. 6 and Fig. 7c bucket inter-arrival times.  The paper plots
 stacked percentage bars over these ranges; we reproduce the same binning.
 
-The buckets live in the metric layer (below :mod:`repro.workloads`, which
-re-exports them) because the distribution metrics in
+The buckets live in the metric layer (below :mod:`repro.workloads`, whose
+size sampler draws from them) because the distribution metrics in
 :mod:`repro.metrics.histograms` are defined over them and the metric
 layer depends only on :mod:`repro.trace`.
 """

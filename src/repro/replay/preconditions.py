@@ -58,17 +58,18 @@ def decide(device, trace) -> FastPathDecision:
         reasons.append("copy-back GC programs skip the channel (not planned)")
     if config.mapping_scheme != "page":
         reasons.append(f"mapping scheme {config.mapping_scheme!r} (fast path walks the page FTL)")
-    if getattr(device, "telemetry", None) is not None:
-        # Parity tests (tests/telemetry/test_host_observer.py) pin this
-        # as a *fallback* precondition: the vectorized path computes the
-        # same timings but fires no events and records no spans, so a
-        # telemetry replay must take the kernel -- and
-        # REPRO_REPLAY_FASTPATH=require raises here rather than silently
-        # losing the span stream.
-        reasons.append("telemetry sink attached (fast path records no spans)")
     kernel = device.kernel
-    if kernel.record_events:
-        reasons.append("kernel records its event trace (fast path fires no events)")
+    if kernel.telemetry is not None:
+        # A device's sink is always its kernel's sink, so this one row
+        # also catches a sink attached to the kernel alone.  Parity tests
+        # (tests/telemetry/test_host_observer.py) pin it as a *fallback*
+        # precondition: the vectorized path computes the same timings but
+        # fires no events and records no spans, so a telemetry replay
+        # must take the kernel -- and REPRO_REPLAY_FASTPATH=require raises
+        # here rather than silently losing the span stream.
+        reasons.append(
+            "telemetry sink attached (fast path records no spans or events)"
+        )
     if kernel.pending_material():
         reasons.append("kernel holds pending material events (foreign producers)")
     if reasons:

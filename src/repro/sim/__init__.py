@@ -15,8 +15,8 @@ else depends on it.
 
 from .clock import SimClock, SimTimeError
 from .events import Event, EventKind
-from .host import Host, replay_trace
-from .loop import EventLoop, SimInterrupt, TracePoint
+from .host import Host
+from .loop import EventLoop, SimInterrupt
 from .queueing import AdmissionQueue
 from .resources import ResourcePool, ResourceTimeline
 
@@ -31,6 +31,4 @@ __all__ = [
     "SimClock",
     "SimInterrupt",
     "SimTimeError",
-    "TracePoint",
-    "replay_trace",
 ]

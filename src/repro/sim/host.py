@@ -82,8 +82,3 @@ class Host:
             stats=self.device.stats,
             config_name=self.device.config.name,
         )
-
-
-def replay_trace(device: "EmmcDevice", trace: Trace) -> "ReplayResult":
-    """Convenience: ``Host(device).replay(trace)``."""
-    return Host(device).replay(trace)

@@ -43,9 +43,7 @@ E_NAME, E_CAT, E_TRACK, E_TS, E_ARGS = range(5)
 #: Counter-sample tuple layout: ``(name, ts_us, value)``.
 C_NAME, C_TS, C_VALUE = range(3)
 
-#: A recorded kernel event: (time_us, priority, seq, kind name, label) --
-#: the exact shape the old ``EventLoop.event_trace`` list held, kept so
-#: the ``record_events`` compatibility shim is a view, not a copy.
+#: A recorded kernel event: (time_us, priority, seq, kind name, label).
 KernelEvent = Tuple[float, int, int, str, str]
 
 
@@ -222,7 +220,6 @@ def attach_telemetry(device, sink: Optional[Telemetry] = None) -> Telemetry:
         )
     device.telemetry = sink
     device.kernel.telemetry = sink
-    device.kernel._auto_sink = False
     attach = getattr(device.ftl, "attach_telemetry", None)
     if attach is not None:
         attach(sink, device.kernel.clock)

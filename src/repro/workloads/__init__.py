@@ -2,14 +2,6 @@
 
 from .addresses import AccessMode, AddressModel, AddressSampler
 from .arrivals import ArrivalModel
-from .buckets import (
-    INTERARRIVAL_BUCKETS_MS,
-    RESPONSE_BUCKETS_MS,
-    SIZE_BUCKETS,
-    bucket_labels,
-    histogram,
-    size_histogram,
-)
 from .collection import CollectionResult, collect, sync_fraction
 from .combos import interleave, mechanistic_combo, rate_inflation
 from .generator import DEFAULT_SEED, generate_all, generate_trace
@@ -51,12 +43,6 @@ __all__ = [
     "AddressModel",
     "AddressSampler",
     "ArrivalModel",
-    "INTERARRIVAL_BUCKETS_MS",
-    "RESPONSE_BUCKETS_MS",
-    "SIZE_BUCKETS",
-    "bucket_labels",
-    "histogram",
-    "size_histogram",
     "interleave",
     "mechanistic_combo",
     "rate_inflation",

@@ -25,7 +25,7 @@ from repro.analysis.size_stats import size_stats
 from repro.analysis.throughput import trace_throughput_by_size
 from repro.analysis.timing_stats import timing_stats
 from repro.trace import Op, Request, SECTOR, Trace
-from repro.workloads.buckets import (
+from repro.metrics.buckets import (
     INTERARRIVAL_BUCKETS_MS,
     RESPONSE_BUCKETS_MS,
     SIZE_BUCKETS,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.workloads import COMBO_APPS, INDIVIDUAL_APPS
-from repro.experiments import runner
+from repro.experiments import registry, runner
 from repro.experiments import fig3, fig4, fig6, fig7, fig8, fig9, table3, table4
 
 QUICK = 400  # requests per trace in quick mode
@@ -84,7 +84,7 @@ class TestRunner:
                     "table3", "table4", "characteristics", "implications",
                     "overhead", "slc_study", "lifetime", "sensitivity", "power_study", "sdcard_study",
                     "calibration", "ftl_study"}
-        assert set(runner.EXPERIMENTS) == expected
+        assert set(registry.REGISTRY) == expected
 
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):

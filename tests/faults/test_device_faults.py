@@ -5,6 +5,7 @@ import pytest
 from repro.emmc import EmmcDevice, small_four_ps
 from repro.faults import FaultPlan, replay_with_faults, stats_digest
 from repro.sim import EventKind, Host
+from repro.telemetry import Telemetry
 from repro.trace import Op, Request, SECTOR, Trace
 
 
@@ -60,14 +61,14 @@ class TestEccRetries:
 
     def test_retry_events_visible_in_kernel_trace(self):
         plan = FaultPlan(seed=7, read_error_rate=0.4, read_retry_limit=3)
-        result = replay_with_faults(
-            small_four_ps(), _trace(), plan, record_events=True
-        )
-        assert result.stats.read_retries > 0
+        sink = Telemetry()
+        device = EmmcDevice(small_four_ps(), faults=plan, telemetry=sink)
+        stats = Host(device).replay(_trace()).stats
+        assert stats.read_retries > 0
         retry_events = [
-            e for e in result.events if e[3] == EventKind.FAULT_RETRY.name
+            e for e in sink.kernel_events if e[3] == EventKind.FAULT_RETRY.name
         ]
-        assert len(retry_events) == result.stats.read_retries
+        assert len(retry_events) == stats.read_retries
         assert all(e[4].startswith("ecc-retry-") for e in retry_events)
 
     def test_fault_counters_deterministic(self):

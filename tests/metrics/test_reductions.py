@@ -1,9 +1,9 @@
-"""Unit tests for :class:`repro.streaming.reductions.OrderedSum`."""
+"""Unit tests for :class:`repro.metrics.reductions.OrderedSum`."""
 
 import numpy as np
 import pytest
 
-from repro.streaming import OrderedSum, chunked
+from repro.metrics import OrderedSum, chunked
 from repro.trace import sequential_sum
 from repro.workloads import generate_trace
 

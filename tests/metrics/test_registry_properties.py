@@ -6,9 +6,10 @@ draws arbitrary contiguous partitions of one replayed trace's stream and
 requires -- with ``==`` on floats, never approx:
 
 * out-of-core: ``finalize(fold(chunks)) == batch(whole stream)`` for any
-  chunking;
+  chunking, with or without empty chunks interleaved;
 * sharded: any contiguous shard split, merged left to right, reproduces
-  the batch bits;
+  the batch bits -- also when the leftmost shard is a collapsed
+  (out-of-core) state absorbing deferred ones;
 * merge associativity: a pairwise merge tree over the shards equals the
   sequential left fold, bit for bit -- which is what licenses the
   parallel experiment runner's arbitrary merge order.
@@ -53,24 +54,28 @@ def _assert_batch_bits(values) -> None:
         assert values[metric.name] == _BATCH[metric.name], metric.name
 
 
-@given(cuts=cuts_strategy)
+@given(cuts=cuts_strategy, interleave_empty=st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_fold_of_any_chunking_equals_batch(cuts):
+def test_fold_of_any_chunking_equals_batch(cuts, interleave_empty):
     """Out-of-core engine: finalize(fold(chunks)) == batch(whole trace)."""
+    chunks = _segments(cuts)
+    if interleave_empty:
+        empty = _COLUMNS.select(slice(0, 0))
+        chunks = [empty] + [part for chunk in chunks for part in (chunk, empty)]
     values = {
-        metric.name: metric.fold(_segments(cuts), _TRACE.name, collapse=True)
+        metric.name: metric.fold(chunks, _TRACE.name, collapse=True)
         for metric in _METRICS
     }
     _assert_batch_bits(values)
 
 
-@given(cuts=cuts_strategy)
+@given(cuts=cuts_strategy, collapse_left=st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_any_shard_split_merges_to_batch_bits(cuts):
+def test_any_shard_split_merges_to_batch_bits(cuts, collapse_left):
     """Sharded engine: independent shard states merge to the batch bits."""
     shards = []
     for segment in _segments(cuts):
-        shard = MetricSetState(_METRICS)
+        shard = MetricSetState(_METRICS, collapse=collapse_left and not shards)
         shard.update(segment)
         shards.append(shard)
     merged = shards[0]

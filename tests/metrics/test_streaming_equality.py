@@ -1,11 +1,16 @@
-"""Streaming-vs-batch bit-identity across every workload and chunking.
+"""Streaming engine vs the whole-trace analysis functions, bit for bit.
 
-Every assertion in this module uses ``==`` on floats (never
-``pytest.approx``): the contract of :mod:`repro.streaming` is that the
-chunked, mergeable pass produces *the same bits* as the in-memory batch
-kernels in :mod:`repro.analysis`, for any chunk size and any contiguous
-shard split of the stream.
+``test_engine_parity`` compares each metric's fold with its own batch
+kernel.  This suite pins the other side of the contract the ``stats``
+command relies on: the chunked, mergeable pass over the summary metrics,
+the localities and the Fig. 3 throughput curve produces *the same bits*
+as the whole-trace convenience functions in :mod:`repro.analysis`
+(``size_stats(trace)``, ``measure(trace)``, ...), for any chunk size
+and any contiguous shard split.  Every assertion uses ``==`` on floats,
+never ``pytest.approx``.
 """
+
+import zlib
 
 import numpy as np
 import pytest
@@ -19,12 +24,13 @@ from repro.analysis import (
     timing_stats,
     trace_throughput_by_size,
 )
-from repro.streaming import (
-    StreamingLocalities,
-    StreamingThroughputBySize,
-    StreamingTraceSummary,
+from repro.metrics import (
+    LocalitiesState,
+    MetricSetState,
+    ThroughputBySizeState,
     chunked,
-    summarize_trace,
+    fold_chunks,
+    summary_metrics,
 )
 from repro.trace import Op, Trace
 from repro.workloads import ALL_TRACES, generate_trace
@@ -36,30 +42,29 @@ from repro.workloads.collection import collect
 REPLAYED_APPS = ("Email", "AngryBrid", "CameraVideo")
 
 
-def _batch_summary(trace):
+def _analysis_summary(trace):
+    """The summary metrics' values from the whole-trace functions."""
     return {
-        "size": size_stats(trace),
-        "timing": timing_stats(trace),
+        "size_stats": size_stats(trace),
+        "timing_stats": timing_stats(trace),
         "size_distribution": size_distribution(trace),
         "response_distribution": response_distribution(trace),
         "interarrival_distribution": interarrival_distribution(trace),
     }
 
 
-def _assert_matches_batch(summary, trace):
-    batch = _batch_summary(trace)
-    assert summary.size == batch["size"]
-    assert summary.timing == batch["timing"]
-    assert summary.size_distribution == batch["size_distribution"]
-    assert summary.response_distribution == batch["response_distribution"]
-    assert summary.interarrival_distribution == batch["interarrival_distribution"]
+def _assert_matches_analysis(summary, trace):
+    expected = _analysis_summary(trace)
+    assert list(summary) == list(expected)
+    for name, value in expected.items():
+        assert summary[name] == value, name
 
 
 def _fold(trace, chunk_rows, collapse):
-    streaming = StreamingTraceSummary(collapse=collapse)
+    state = MetricSetState(summary_metrics(), collapse=collapse)
     for chunk in chunked(trace.columns(), chunk_rows):
-        streaming.update(chunk)
-    return streaming.finalize(trace.name)
+        state.update(chunk)
+    return state.finalize(trace.name)
 
 
 class TestAllTraces:
@@ -68,13 +73,13 @@ class TestAllTraces:
     @pytest.mark.parametrize("name", ALL_TRACES)
     def test_generated_trace_bits_match(self, name):
         trace = generate_trace(name, seed=7, num_requests=700)
-        _assert_matches_batch(_fold(trace, 137, collapse=True), trace)
+        _assert_matches_analysis(_fold(trace, 137, collapse=True), trace)
 
     @pytest.mark.parametrize("name", REPLAYED_APPS)
     def test_replayed_trace_bits_match(self, name):
         trace = collect(name, seed=5, num_requests=200).trace
-        _assert_matches_batch(_fold(trace, 41, collapse=True), trace)
-        _assert_matches_batch(_fold(trace, 41, collapse=False), trace)
+        _assert_matches_analysis(_fold(trace, 41, collapse=True), trace)
+        _assert_matches_analysis(_fold(trace, 41, collapse=False), trace)
 
 
 class TestChunkingInvariance:
@@ -85,39 +90,33 @@ class TestChunkingInvariance:
     def test_extreme_chunkings(self, name, collapse):
         trace = collect(name, seed=9, num_requests=150).trace
         n = len(trace)
-        batch = _batch_summary(trace)
         for rows in (1, 7, n - 1, n, 10 * n):
-            summary = _fold(trace, rows, collapse)
-            assert summary.size == batch["size"]
-            assert summary.timing == batch["timing"]
-            assert summary.size_distribution == batch["size_distribution"]
-            assert summary.response_distribution == batch["response_distribution"]
-            assert (
-                summary.interarrival_distribution
-                == batch["interarrival_distribution"]
-            )
+            _assert_matches_analysis(_fold(trace, rows, collapse), trace)
 
-    def test_summarize_trace_helper(self):
+    def test_fold_chunks_over_summary_metrics(self):
         trace = collect("Email", seed=9, num_requests=150).trace
-        _assert_matches_batch(summarize_trace(trace, chunk_rows=13), trace)
+        summary = fold_chunks(
+            summary_metrics(), chunked(trace.columns(), 13), trace.name
+        )
+        _assert_matches_analysis(summary, trace)
 
 
 class TestShardMerge:
-    """Random contiguous shard splits merge to the exact batch bits."""
+    """Random contiguous shard splits merge to the exact analysis bits."""
 
     @pytest.mark.parametrize("name", ["Email", "YouTube", "Installing"])
     def test_random_splits(self, name):
         trace = collect(name, seed=11, num_requests=180).trace
         columns = trace.columns()
         n = len(columns)
-        batch = _batch_summary(trace)
-        rng = np.random.default_rng(hash(name) % (2**32))
-        for trial in range(5):
+        # crc32, not hash(): the splits must not depend on PYTHONHASHSEED.
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        for _ in range(5):
             cuts = np.sort(rng.choice(np.arange(1, n), 3, replace=False))
             bounds = [0, *cuts.tolist(), n]
             shards = []
             for a, b in zip(bounds, bounds[1:]):
-                shard = StreamingTraceSummary()
+                shard = MetricSetState(summary_metrics())
                 for chunk in chunked(columns.select(slice(a, b)), 29):
                     shard.update(chunk)
                 shards.append(shard)
@@ -125,61 +124,53 @@ class TestShardMerge:
             left = shards[0]
             for shard in shards[1:]:
                 left.merge(shard)
-            summary = left.finalize(trace.name)
-            assert summary.size == batch["size"]
-            assert summary.timing == batch["timing"]
-            assert summary.size_distribution == batch["size_distribution"]
-            assert summary.response_distribution == batch["response_distribution"]
-            assert (
-                summary.interarrival_distribution
-                == batch["interarrival_distribution"]
-            )
+            _assert_matches_analysis(left.finalize(trace.name), trace)
 
     def test_collapsed_leftmost_shard_absorbs_deferred_rest(self):
         trace = collect("Email", seed=11, num_requests=160).trace
         columns = trace.columns()
-        left = StreamingTraceSummary(collapse=True)
+        left = MetricSetState(summary_metrics(), collapse=True)
         for chunk in chunked(columns.select(slice(0, 60)), 17):
             left.update(chunk)
-        right = StreamingTraceSummary()
+        right = MetricSetState(summary_metrics())
         for chunk in chunked(columns.select(slice(60, len(columns))), 23):
             right.update(chunk)
         left.merge(right)
-        _assert_matches_batch(left.finalize(trace.name), trace)
+        _assert_matches_analysis(left.finalize(trace.name), trace)
 
 
 class TestEmptyTrace:
     def test_empty_stream_equals_batch_on_empty_trace(self):
         trace = Trace("empty", [])
-        summary = StreamingTraceSummary().finalize("empty")
-        _assert_matches_batch(summary, trace)
+        summary = MetricSetState(summary_metrics()).finalize("empty")
+        _assert_matches_analysis(summary, trace)
 
     def test_empty_chunks_are_no_ops(self):
         trace = collect("Email", seed=3, num_requests=100).trace
         columns = trace.columns()
-        streaming = StreamingTraceSummary()
-        streaming.update(columns.select(slice(0, 0)))
+        state = MetricSetState(summary_metrics())
+        state.update(columns.select(slice(0, 0)))
         for chunk in chunked(columns, 31):
-            streaming.update(chunk)
-            streaming.update(columns.select(slice(0, 0)))
-        _assert_matches_batch(streaming.finalize(trace.name), trace)
+            state.update(chunk)
+            state.update(columns.select(slice(0, 0)))
+        _assert_matches_analysis(state.finalize(trace.name), trace)
 
 
 class TestLocalities:
     @pytest.mark.parametrize("name", ALL_TRACES[::4])
     def test_matches_measure(self, name):
         trace = generate_trace(name, seed=13, num_requests=500)
-        streaming = StreamingLocalities()
+        state = LocalitiesState()
         for chunk in chunked(trace.columns(), 61):
-            streaming.update(chunk)
-        assert streaming.finalize() == measure(trace)
+            state.update(chunk)
+        assert state.finalize() == measure(trace)
 
     def test_shard_merge_matches_measure(self):
         trace = generate_trace("Email", seed=13, num_requests=400)
         columns = trace.columns()
         shards = []
         for a, b in ((0, 5), (5, 123), (123, 400)):
-            shard = StreamingLocalities()
+            shard = LocalitiesState()
             for chunk in chunked(columns.select(slice(a, b)), 19):
                 shard.update(chunk)
             shards.append(shard)
@@ -194,18 +185,18 @@ class TestThroughput:
     def test_matches_batch_kernel(self, op):
         traces = [collect(n, seed=17, num_requests=150).trace for n in REPLAYED_APPS]
         expected = trace_throughput_by_size(traces, op)
-        streaming = StreamingThroughputBySize(op, collapse=True)
+        state = ThroughputBySizeState(op, collapse=True)
         for trace in traces:
             for chunk in chunked(trace.columns(), 37):
-                streaming.update(chunk)
-        assert streaming.finalize() == expected
+                state.update(chunk)
+        assert state.finalize() == expected
 
     def test_shard_merge(self):
         traces = [collect(n, seed=17, num_requests=150).trace for n in REPLAYED_APPS]
         expected = trace_throughput_by_size(traces, Op.READ)
         shards = []
         for trace in traces:
-            shard = StreamingThroughputBySize(Op.READ)
+            shard = ThroughputBySizeState(Op.READ)
             for chunk in chunked(trace.columns(), 53):
                 shard.update(chunk)
             shards.append(shard)

@@ -1,13 +1,17 @@
-"""Property-based hardening of the streaming-vs-batch bit-identity contract.
+"""Property-based hardening of the streaming-vs-analysis bit-identity contract.
 
 ``test_streaming_equality`` checks hand-picked chunkings and shard
-splits; here hypothesis draws *arbitrary* ones.  The invariants under
-test (all with ``==`` on floats, never approx):
+splits of the summary metrics against the whole-trace functions in
+:mod:`repro.analysis`; here hypothesis draws *arbitrary* ones.  The
+invariants under test (all with ``==`` on floats, never approx):
 
-* any partition of the stream into chunks folds to the exact batch bits;
-* any contiguous shard split merges to the exact batch bits;
+* any partition of the stream into chunks folds to the exact bits;
+* any contiguous shard split merges to the exact bits;
 * merge is associative: a pairwise merge tree over the shards produces
   the same bits as the sequential left fold.
+
+``test_registry_properties`` states the same properties for every
+registered metric against its own batch kernel.
 """
 
 import copy
@@ -22,7 +26,7 @@ from repro.analysis import (
     size_stats,
     timing_stats,
 )
-from repro.streaming import StreamingTraceSummary
+from repro.metrics import MetricSetState, summary_metrics
 from repro.workloads.collection import collect
 
 #: One completed (replayed) trace shared by every example: collection is
@@ -32,21 +36,20 @@ from repro.workloads.collection import collect
 _TRACE = collect("Email", seed=5, num_requests=150).trace
 _COLUMNS = _TRACE.columns()
 _N = len(_COLUMNS)
-_BATCH = {
-    "size": size_stats(_TRACE),
-    "timing": timing_stats(_TRACE),
+_METRICS = tuple(summary_metrics())
+_EXPECTED = {
+    "size_stats": size_stats(_TRACE),
+    "timing_stats": timing_stats(_TRACE),
     "size_distribution": size_distribution(_TRACE),
     "response_distribution": response_distribution(_TRACE),
     "interarrival_distribution": interarrival_distribution(_TRACE),
 }
 
 
-def _assert_batch_bits(summary) -> None:
-    assert summary.size == _BATCH["size"]
-    assert summary.timing == _BATCH["timing"]
-    assert summary.size_distribution == _BATCH["size_distribution"]
-    assert summary.response_distribution == _BATCH["response_distribution"]
-    assert summary.interarrival_distribution == _BATCH["interarrival_distribution"]
+def _assert_analysis_bits(summary) -> None:
+    assert list(summary) == list(_EXPECTED)
+    for name, value in _EXPECTED.items():
+        assert summary[name] == value, name
 
 
 #: Interior cut points 0 < c < N, drawn without replacement; together
@@ -68,18 +71,18 @@ def _bounds(cuts):
 @settings(max_examples=40, deadline=None)
 def test_any_chunking_matches_batch_bits(cuts):
     """Folding the stream in arbitrary-size chunks is chunking-invariant."""
-    streaming = StreamingTraceSummary(collapse=True)
+    state = MetricSetState(_METRICS, collapse=True)
     bounds = _bounds(cuts)
     for a, b in zip(bounds, bounds[1:]):
-        streaming.update(_COLUMNS.select(slice(a, b)))
-    _assert_batch_bits(streaming.finalize(_TRACE.name))
+        state.update(_COLUMNS.select(slice(a, b)))
+    _assert_analysis_bits(state.finalize(_TRACE.name))
 
 
 def _shards(cuts):
     shards = []
     bounds = _bounds(cuts)
     for a, b in zip(bounds, bounds[1:]):
-        shard = StreamingTraceSummary()
+        shard = MetricSetState(_METRICS)
         shard.update(_COLUMNS.select(slice(a, b)))
         shards.append(shard)
     return shards
@@ -93,7 +96,7 @@ def test_any_shard_split_merges_to_batch_bits(cuts):
     merged = shards[0]
     for shard in shards[1:]:
         merged.merge(shard)
-    _assert_batch_bits(merged.finalize(_TRACE.name))
+    _assert_analysis_bits(merged.finalize(_TRACE.name))
 
 
 @given(cuts=cuts_strategy)
@@ -124,12 +127,8 @@ def test_merge_tree_order_invariance(cuts):
 
     a = sequential.finalize(_TRACE.name)
     b = tree.finalize(_TRACE.name)
-    assert a.size == b.size
-    assert a.timing == b.timing
-    assert a.size_distribution == b.size_distribution
-    assert a.response_distribution == b.response_distribution
-    assert a.interarrival_distribution == b.interarrival_distribution
-    _assert_batch_bits(b)
+    assert a == b
+    _assert_analysis_bits(b)
 
 
 @given(
@@ -142,7 +141,7 @@ def test_shards_internally_rechunked(cuts, chunk_rows):
     bounds = _bounds(cuts)
     merged = None
     for a, b in zip(bounds, bounds[1:]):
-        shard = StreamingTraceSummary()
+        shard = MetricSetState(_METRICS)
         position = a
         while position < b:
             take = min(chunk_rows, b - position)
@@ -152,4 +151,5 @@ def test_shards_internally_rechunked(cuts, chunk_rows):
             merged = shard
         else:
             merged.merge(shard)
-    _assert_batch_bits(merged.finalize(_TRACE.name))
+    _assert_analysis_bits(merged.finalize(_TRACE.name))
+

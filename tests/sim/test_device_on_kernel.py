@@ -21,7 +21,8 @@ import pytest
 
 from repro.trace import KIB, Op, Request, Trace
 from repro.emmc import EmmcDevice, four_ps
-from repro.sim import EventLoop, Host, replay_trace
+from repro.sim import Host
+from repro.telemetry import Telemetry
 
 #: LatencyParams defaults, spelled out so the arithmetic is visible.
 FTL_US = 65.0
@@ -82,7 +83,7 @@ class TestQueueDepthMrt:
         )
         mrt = {}
         for depth in (1, 4):
-            result = replay_trace(EmmcDevice(four_ps(queue_depth=depth)), trace)
+            result = Host(EmmcDevice(four_ps(queue_depth=depth))).replay(trace)
             mrt[depth] = result.stats.mean_response_ms
         assert mrt[4] < mrt[1]
 
@@ -174,11 +175,12 @@ def _replay_digest():
     from repro.workloads import generate_trace
 
     trace = generate_trace("Messaging", seed=11, num_requests=200)
-    device = EmmcDevice(four_ps(), kernel=EventLoop(record_events=True))
+    sink = Telemetry()
+    device = EmmcDevice(four_ps(), telemetry=sink)
     result = Host(device).replay(trace.without_timing())
     payload = json.dumps(
         {
-            "events": device.kernel.event_trace,
+            "events": sink.kernel_events,
             "timings": [
                 (r.arrival_us, r.service_start_us, r.finish_us)
                 for r in result.trace

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Event, EventKind, EventLoop, SimClock, SimTimeError
+from repro.telemetry import Telemetry
 
 
 class TestSimClock:
@@ -28,7 +29,8 @@ class TestSimClock:
 
 class TestEventOrdering:
     def test_sorts_by_time_then_priority_then_seq(self):
-        loop = EventLoop(record_events=True)
+        sink = Telemetry()
+        loop = EventLoop(telemetry=sink)
         # Same instant, mixed kinds, scheduled in "wrong" order.
         loop.schedule(5.0, kind=EventKind.POWER_DOWN)
         loop.schedule(5.0, kind=EventKind.ARRIVAL)
@@ -36,15 +38,16 @@ class TestEventOrdering:
         loop.schedule(5.0, kind=EventKind.IDLE_GC)
         loop.schedule(1.0, kind=EventKind.GENERIC)
         loop.run()
-        kinds = [point[3] for point in loop.event_trace]
+        kinds = [point[3] for point in sink.kernel_events]
         assert kinds == ["GENERIC", "COMPLETE", "IDLE_GC", "ARRIVAL", "POWER_DOWN"]
 
     def test_equal_keys_fire_in_scheduling_order(self):
-        loop = EventLoop(record_events=True)
+        sink = Telemetry()
+        loop = EventLoop(telemetry=sink)
         for _ in range(5):
             loop.schedule(3.0, kind=EventKind.ARRIVAL)
         loop.run()
-        seqs = [point[2] for point in loop.event_trace]
+        seqs = [point[2] for point in sink.kernel_events]
         assert seqs == sorted(seqs)
 
     def test_event_sort_key_is_precomputed(self):

@@ -9,9 +9,10 @@ smaller than the store.  Under that cap:
 * allocating the whole store's worth of anonymous memory fails with
   ``MemoryError`` -- the cap genuinely forbids whole-trace
   materialization;
-* the chunked streaming pass (``summarize_store`` with O(1) float
-  state) still completes and produces bit-identical statistics to the
-  batch kernels run on the in-memory trace in the parent.
+* the chunked out-of-core pass (``fold_chunks`` over the summary
+  metrics, O(1) float state) still completes and produces bit-identical
+  statistics to the batch kernels run on the in-memory trace in the
+  parent.
 
 ``RLIMIT_RSS`` is not used because Linux has ignored it for decades;
 ``RLIMIT_DATA`` (honoured for anonymous mappings since Linux 4.7) is
@@ -52,8 +53,8 @@ MARGIN_BYTES = 32 * 1024 * 1024
 _SCRIPT = r"""
 import json, resource, sys
 import numpy as np
+from repro.metrics import fold_chunks, summary_metrics
 from repro.store import open_store
-from repro.streaming import summarize_store
 
 store = open_store(sys.argv[1])
 total_nbytes = int(sys.argv[2])
@@ -71,16 +72,17 @@ try:  # the cap must forbid materializing the store anonymously...
 except MemoryError:
     probe = "memoryerror"
 
-summary = summarize_store(store)  # ...while the chunked pass sails through
+# ...while the chunked pass sails through
+summary = fold_chunks(summary_metrics(), store.iter_chunks(), store.name)
 import dataclasses
 print(json.dumps({
     "probe": probe,
-    "rows": summary.size.num_requests,
-    "size": dataclasses.asdict(summary.size),
-    "timing": dataclasses.asdict(summary.timing),
-    "size_distribution": summary.size_distribution,
-    "response_distribution": summary.response_distribution,
-    "interarrival_distribution": summary.interarrival_distribution,
+    "rows": summary["size_stats"].num_requests,
+    "size": dataclasses.asdict(summary["size_stats"]),
+    "timing": dataclasses.asdict(summary["timing_stats"]),
+    "size_distribution": summary["size_distribution"],
+    "response_distribution": summary["response_distribution"],
+    "interarrival_distribution": summary["interarrival_distribution"],
     "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
 }))
 """

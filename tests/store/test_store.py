@@ -20,7 +20,7 @@ from repro.store import (
     open_store,
     pack,
 )
-from repro.streaming import chunked
+from repro.metrics import chunked
 from repro.trace import Op, Request, SECTOR, Trace
 from repro.workloads import generate_trace
 

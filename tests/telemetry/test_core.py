@@ -1,4 +1,4 @@
-"""Telemetry sink API + the EventLoop record_events compatibility shim."""
+"""Telemetry sink API and its attachment to devices and event loops."""
 
 import pytest
 
@@ -93,42 +93,28 @@ class TestAttach:
             attach_telemetry(device)
 
 
-class TestRecordEventsShim:
+class TestKernelRecording:
     def test_default_records_nothing(self):
         kernel = EventLoop()
-        assert kernel.telemetry is None
-        assert not kernel.record_events
-        assert kernel.event_trace == []
-        assert kernel.recorded_events == []
-
-    def test_true_auto_creates_a_sink(self):
-        kernel = EventLoop(record_events=True)
-        assert kernel.record_events
         kernel.schedule(1.0, label="x")
         kernel.run()
-        assert len(kernel.event_trace) == 1
-        assert kernel.event_trace[0][4] == "x"
-        # The telemetry-era alias is the same live list.
-        assert kernel.recorded_events is kernel.event_trace
-
-    def test_setter_toggles_an_auto_sink(self):
-        kernel = EventLoop()
-        kernel.record_events = True
-        assert kernel.telemetry is not None
-        kernel.record_events = False
         assert kernel.telemetry is None
+        assert EmmcDevice(small_four_ps()).kernel.telemetry is None
 
-    def test_setter_never_drops_an_explicit_sink(self):
+    def test_sink_records_each_fired_event(self):
         sink = Telemetry()
         kernel = EventLoop(telemetry=sink)
-        kernel.record_events = False
-        assert kernel.telemetry is sink
+        kernel.schedule(1.0, label="x")
+        kernel.schedule(2.0, label="y")
+        kernel.run()
+        assert [event[4] for event in sink.kernel_events] == ["x", "y"]
 
-    def test_event_trace_shape_is_the_legacy_tuple(self):
-        kernel = EventLoop(record_events=True)
+    def test_kernel_event_shape(self):
+        sink = Telemetry()
+        kernel = EventLoop(telemetry=sink)
         kernel.schedule(5.0, label="probe")
         kernel.run()
-        time_us, priority, seq, kind_name, label = kernel.event_trace[0]
+        time_us, priority, seq, kind_name, label = sink.kernel_events[0]
         assert time_us == 5.0
         assert isinstance(priority, int) and isinstance(seq, int)
         assert kind_name == "GENERIC" and label == "probe"
@@ -139,16 +125,6 @@ class TestSuccessor:
         fresh = EventLoop().successor(10.0)
         assert fresh.telemetry is None
         assert fresh.now_us == 10.0
-
-    def test_auto_sink_successor_gets_a_fresh_sink(self):
-        kernel = EventLoop(record_events=True)
-        kernel.schedule(1.0)
-        kernel.run()
-        fresh = kernel.successor(2.0)
-        assert fresh.record_events
-        assert fresh.telemetry is not kernel.telemetry
-        # Old semantics: post-recovery trace starts empty.
-        assert fresh.event_trace == []
 
     def test_explicit_sink_survives_succession(self):
         sink = Telemetry()

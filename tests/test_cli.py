@@ -196,3 +196,6 @@ class TestStore:
         captured = capsys.readouterr()
         assert captured.out == batch
         assert "[engine: streaming (out-of-core)]" in captured.err
+        # Seven-row chunks: the fold carries state across chunk boundaries.
+        assert main(["store", "stats", str(store), "--chunk-rows", "7"]) == 0
+        assert capsys.readouterr().out == batch

@@ -14,7 +14,11 @@ PACKAGES = [
     "repro.emmc.ftl",
     "repro.analysis",
     "repro.store",
-    "repro.streaming",
+    "repro.metrics",
+    "repro.replay",
+    "repro.telemetry",
+    "repro.fleet",
+    "repro.faults",
     "repro.experiments",
 ]
 

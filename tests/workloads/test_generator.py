@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.locality import measure as measure_localities
+from repro.metrics.buckets import size_histogram
 from repro.trace import SECTOR, validate_trace
 from repro.workloads import (
     DEVICE_BYTES,
@@ -16,7 +17,6 @@ from repro.workloads import (
     TABLE_IV,
     generate_all,
     generate_trace,
-    size_histogram,
 )
 from repro.workloads.paper_data import effective_num_requests
 
