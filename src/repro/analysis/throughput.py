@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.trace import KIB, MIB, Op, Request, US_PER_S
+from repro.trace import KIB, MIB, Op, US_PER_S
 from repro.emmc.device import DeviceConfig, EmmcDevice
+from repro.sim import Host
 
 #: Fig. 3's x axis, bytes.  Reads stop at 256 KB ("the largest size of a
 #: read request is 256 KB"), writes continue to 16 MB.
@@ -54,17 +55,16 @@ def measure_throughput(
         # Wrap inside half the device so long write sweeps overwrite their
         # own data (reclaimable by GC) instead of exhausting the space.
         window = max(size, device.capacity_bytes // 2 // size * size)
-        lba = 0
-        finish = 0.0
-        start_of_first = None
-        for _ in range(count):
-            request = Request(arrival_us=finish, lba=lba, size=size, op=op)
-            completed = device.submit(request)
-            if start_of_first is None:
-                start_of_first = completed.arrival_us
-            finish = completed.finish_us
-            lba = (lba + size) % window
-        elapsed_s = (finish - (start_of_first or 0.0)) / US_PER_S
+        # Back to back: each request arrives at the previous completion
+        # (zero think time, every request synchronous).
+        trace = Host(device).replay_closed_loop(
+            [index * size % window for index in range(count)],
+            [size] * count,
+            [op] * count,
+            [0.0] * (count - 1),
+            [True] * (count - 1),
+        ).trace
+        elapsed_s = (trace[-1].finish_us - trace[0].arrival_us) / US_PER_S
         points.append(
             ThroughputPoint(size_bytes=size, mb_per_s=count * size / 1e6 / elapsed_s)
         )

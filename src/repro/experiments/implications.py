@@ -86,10 +86,14 @@ def _implication_4(seed: int) -> dict:
         blocks_per_plane={PageKind.K4: 8}, pages_per_block=16,
     )
     device = EmmcDevice(four_ps(geometry=geometry, gc_threshold_blocks=2))
-    at = 0.0
-    for i in range(4000):
-        done = device.submit(Request(at, (i % 40) * 4 * KIB, 4 * KIB, Op.WRITE))
-        at = done.finish_us
+    # Back-to-back overwrites of a 40-page hot set.
+    Host(device).replay_closed_loop(
+        [(i % 40) * 4 * KIB for i in range(4000)],
+        [4 * KIB] * 4000,
+        [Op.WRITE] * 4000,
+        [0.0] * 3999,
+        [True] * 3999,
+    )
     wear = collect_wear(device.ftl.planes)
     return {
         "total_erases": wear.total_erases,

@@ -30,6 +30,7 @@ from repro.trace import Request
 from repro.analysis import render_table
 from repro.workloads import DEFAULT_SEED, generate_trace
 from repro.emmc import EmmcDevice, PageKind, collect_wear, eight_ps, four_ps, hps
+from repro.sim import Host
 
 from .common import ExperimentResult
 from .spec import ExperimentSpec
@@ -58,23 +59,26 @@ def run(
 ) -> ExperimentResult:
     """Sustained small-write pressure on scaled-down devices."""
     trace = generate_trace(app, seed=seed, num_requests=num_requests or 3000)
-    capacity = _scaled_config("4PS").geometry.capacity_bytes()
+    window = _scaled_config("4PS").geometry.capacity_bytes() // 2
+    # One open-loop trace of every round's writes at fixed arrivals.
+    pressure = []
+    clock = 0.0
+    for _ in range(rounds):
+        for request in trace.writes:
+            clock += 10_000.0  # modest load: GC pressure, not overload
+            size = min(request.size, window // 2)
+            # Fold the full-device addresses into the scaled device so the
+            # same overwrite pattern (hence reclaimable garbage) appears at
+            # 1/1024 scale.
+            lba = request.lba % max(4096, window - size)
+            lba -= lba % 4096
+            pressure.append(Request(clock, lba, size, request.op))
+    pressure_trace = trace.with_requests(pressure)
     rows = []
     data: Dict[str, Dict[str, float]] = {}
     for name in ("4PS", "8PS", "HPS"):
         device = EmmcDevice(_scaled_config(name))
-        window = capacity // 2
-        clock = 0.0
-        for _ in range(rounds):
-            for request in trace.writes:
-                clock += 10_000.0  # modest load: GC pressure, not overload
-                size = min(request.size, window // 2)
-                # Fold the full-device addresses into the scaled device so
-                # the same overwrite pattern (hence reclaimable garbage)
-                # appears at 1/1024 scale.
-                lba = request.lba % max(4096, window - size)
-                lba -= lba % 4096
-                device.submit(Request(clock, lba, size, request.op))
+        Host(device).replay(pressure_trace)
         stats = device.stats
         wear = collect_wear(device.ftl.planes)
         amplification = (

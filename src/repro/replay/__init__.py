@@ -1,9 +1,11 @@
-"""Vectorized replay fast path for queue_depth=1 open-loop replay.
+"""Vectorized replay fast path for queue_depth=1 replay, open or closed loop.
 
 Every paper experiment replays traces on the same device configuration:
-a single command queue (``queue_depth=1``), open-loop arrivals, no RAM
-buffer, no fault injection.  Under those conditions each request's full
-schedule is fixed at dispatch (FIFO, no preemption), so the event kernel
+a single command queue (``queue_depth=1``), no RAM buffer, no fault
+injection.  Arrivals are open loop (recorded times) or closed loop (each
+paced by the previous completion, the collection methodology).  Under
+those conditions each request's full schedule is fixed at dispatch
+(FIFO, no preemption), so the event kernel
 is pure overhead: the heap, the Event objects, the timer churn and the
 per-op method dispatch all reproduce arithmetic that can be computed in
 two tight passes over the trace columns instead.
@@ -32,7 +34,13 @@ timestamps.  ``tests/replay`` and the CI replay-parity job enforce this
 against the 57 experiment digests and the frozen goldens.
 """
 
-from .engine import FastPathUnavailable, fast_replay, maybe_fast_replay
+from .engine import (
+    FastPathUnavailable,
+    fast_replay,
+    fast_replay_closed_loop,
+    maybe_fast_replay,
+    maybe_fast_replay_closed_loop,
+)
 from .preconditions import REPLAY_FASTPATH_ENV, FastPathDecision, decide
 
 __all__ = [
@@ -41,5 +49,7 @@ __all__ = [
     "FastPathUnavailable",
     "decide",
     "fast_replay",
+    "fast_replay_closed_loop",
     "maybe_fast_replay",
+    "maybe_fast_replay_closed_loop",
 ]

@@ -1,10 +1,14 @@
 """Fast-path orchestration: plan, time, apply, assemble.
 
-:func:`fast_replay` is the two-pass replacement for
-``Host.replay``'s schedule-arrivals-and-drain loop;
-:func:`maybe_fast_replay` is the dispatcher ``Host.replay`` consults --
-it checks the ``REPRO_REPLAY_FASTPATH`` switch and the preconditions,
-and returns ``None`` when the event kernel should run instead.
+:func:`fast_replay` is the two-pass replacement for ``Host.replay``'s
+schedule-arrivals-and-drain loop, and :func:`fast_replay_closed_loop`
+the one for ``Host.replay_closed_loop``'s submit-and-drain loop.  Both
+run the same planner, the same timing pass and the same apply step;
+they differ only in where arrivals come from.  :func:`maybe_fast_replay`
+and :func:`maybe_fast_replay_closed_loop` are the dispatchers the two
+``Host`` entries consult -- they check the ``REPRO_REPLAY_FASTPATH``
+switch and the preconditions, and return ``None`` when the event kernel
+should run instead.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import os
 
 import numpy as np
 
-from repro.trace import Request, Trace
+from repro.trace import Op, Request, Trace
 from repro.trace.columns import FLAG_HAS_FINISH, FLAG_HAS_SERVICE, TraceColumns
 
 from .planner import plan_trace
@@ -37,32 +41,53 @@ _ON_MODES = frozenset(("auto", "1", "on", "true", "yes"))
 _REQUIRE_MODES = frozenset(("require", "force"))
 
 
-def maybe_fast_replay(device, trace):
-    """The dispatcher: a ``ReplayResult`` on the fast path, else ``None``.
+def _use_fast_path(device, trace=None, first_arrival_us=None) -> bool:
+    """Whether to take the fast path: the switch, then the preconditions.
 
     Consults ``$REPRO_REPLAY_FASTPATH`` (``auto``/``off``/``require``;
-    see :data:`~repro.replay.preconditions.REPLAY_FASTPATH_ENV`) and the
-    structural preconditions.  Any fallback happens *before* the planner
-    touches the FTL, so a ``None`` return leaves the device pristine for
-    the event kernel.
+    see :data:`~repro.replay.preconditions.REPLAY_FASTPATH_ENV`) and
+    :func:`~repro.replay.preconditions.decide`; raises
+    :class:`FastPathUnavailable` under ``require`` when ineligible.
     """
     mode = os.environ.get(REPLAY_FASTPATH_ENV, "auto").strip().lower() or "auto"
     if mode in _OFF_MODES:
-        return None
+        return False
     if mode not in _ON_MODES and mode not in _REQUIRE_MODES:
         raise ValueError(
             f"unknown {REPLAY_FASTPATH_ENV}={mode!r}: "
             "expected auto, off, or require"
         )
-    decision = decide(device, trace)
+    decision = decide(device, trace, first_arrival_us=first_arrival_us)
     if not decision.eligible:
         if mode in _REQUIRE_MODES:
             raise FastPathUnavailable(
                 f"{REPLAY_FASTPATH_ENV}={mode} but the fast path is "
                 "ineligible: " + "; ".join(decision.reasons)
             )
+        return False
+    return True
+
+
+def maybe_fast_replay(device, trace):
+    """The open-loop dispatcher: a ``ReplayResult`` on the fast path, else ``None``.
+
+    Any fallback happens *before* the planner touches the FTL, so a
+    ``None`` return leaves the device pristine for the event kernel.
+    """
+    if not _use_fast_path(device, trace):
         return None
     return fast_replay(device, trace)
+
+
+def maybe_fast_replay_closed_loop(device, lba, size, ops, gaps_us, synchronous, name):
+    """The closed-loop dispatcher: as :func:`maybe_fast_replay`.
+
+    Its first arrival is 0.0, so that is the arrival the preconditions
+    check against the kernel clock.
+    """
+    if not _use_fast_path(device, first_arrival_us=0.0 if len(ops) else None):
+        return None
+    return fast_replay_closed_loop(device, lba, size, ops, gaps_us, synchronous, name)
 
 
 def fast_replay(device, trace: Trace):
@@ -91,16 +116,113 @@ def fast_replay(device, trace: Trace):
     columns = trace.columns()
     plan = plan_trace(device, columns)
     outcome = compute_timing(device, plan, columns.arrival_us)
+    dispatch_arr, finish_arr = _apply(device, plan, outcome, columns.arrival_us)
 
+    completed = []
+    append = completed.append
+    new = _NEW_REQUEST
+    for request, dispatch, finish in zip(
+        requests, outcome.dispatch_us, outcome.finish_us
+    ):
+        timed = new(Request)
+        fields = timed.__dict__
+        fields.update(request.__dict__)
+        fields["service_start_us"] = dispatch
+        fields["finish_us"] = finish
+        append(timed)
+    result_trace = trace.with_requests(completed)
+    result_trace._adopt_columns(
+        _timed_columns(columns.arrival_us, dispatch_arr, finish_arr, columns)
+    )
+    return ReplayResult(
+        trace=result_trace, stats=stats, config_name=device.config.name
+    )
+
+
+def fast_replay_closed_loop(device, lba, size, ops, gaps_us, synchronous, name):
+    """Closed-loop replay via the two-pass engine.
+
+    ``lba``/``size`` are int64 columns and ``ops`` the :class:`Op` of
+    each request; ``gaps_us``/``synchronous`` pace requests ``1 .. n-1``
+    (see :meth:`repro.sim.Host.replay_closed_loop`).  The planner never
+    looks at arrivals, and the timing pass computes each one from the
+    previous completion, so this is :func:`fast_replay` with the arrival
+    column coming out of the timing pass instead of going in.  The end
+    state is the one the kernel path leaves after its final ``drain()``.
+    """
+    from repro.emmc.device import ReplayResult  # local: avoids cycle
+
+    count = len(ops)
+    if not count:
+        return ReplayResult(
+            trace=Trace(name, []), stats=device.stats, config_name=device.config.name
+        )
+    write = Op.WRITE
+    op_column = np.array([op is write for op in ops], dtype=np.uint8)
+    # The planner reads only lba/size/op; arrivals do not exist yet.
+    unknown = np.full(count, np.nan)
+    stream = TraceColumns(
+        unknown, unknown, unknown, lba, size, op_column,
+        np.zeros(count, dtype=np.uint8),
+    )
+    plan = plan_trace(device, stream)
+    outcome = compute_timing(device, plan, None, gaps_us, synchronous)
+    arrival_arr = np.array(outcome.arrival_us, dtype=np.float64)
+    dispatch_arr, finish_arr = _apply(device, plan, outcome, arrival_arr)
+
+    completed = []
+    append = completed.append
+    new = _NEW_REQUEST
+    for arrival, lba_i, size_i, op, dispatch, finish in zip(
+        outcome.arrival_us,
+        stream.lba.tolist(),
+        stream.size.tolist(),
+        ops,
+        outcome.dispatch_us,
+        outcome.finish_us,
+    ):
+        timed = new(Request)
+        timed.__dict__.update(
+            arrival_us=arrival,
+            lba=lba_i,
+            size=size_i,
+            op=op,
+            service_start_us=dispatch,
+            finish_us=finish,
+        )
+        append(timed)
+    result_trace = Trace(name, completed)
+    result_trace._adopt_columns(
+        _timed_columns(arrival_arr, dispatch_arr, finish_arr, stream)
+    )
+    return ReplayResult(
+        trace=result_trace, stats=device.stats, config_name=device.config.name
+    )
+
+
+def _timed_columns(arrival_arr, dispatch_arr, finish_arr, stream) -> TraceColumns:
+    """The replayed trace's columns: timestamps plus the stream's lba/size/op."""
+    flags = np.full(len(stream), FLAG_HAS_SERVICE | FLAG_HAS_FINISH, dtype=np.uint8)
+    return TraceColumns(
+        arrival_arr, dispatch_arr, finish_arr, stream.lba, stream.size, stream.op, flags
+    )
+
+
+def _apply(device, plan, outcome, arrival_arr):
+    """Fold a plan and its timing outcome into the device; the shared apply step.
+
+    Returns the dispatch and finish columns.
+    """
+    stats = device.stats
     dispatch_arr = np.array(outcome.dispatch_us, dtype=np.float64)
     finish_arr = np.array(outcome.finish_us, dtype=np.float64)
     # Element-wise subtraction is the same IEEE-754 op the kernel performs
     # per request, so these columns are bit-identical to its appends.
-    wait_arr = dispatch_arr - columns.arrival_us
+    wait_arr = dispatch_arr - arrival_arr
     service_arr = finish_arr - dispatch_arr
-    response_arr = finish_arr - columns.arrival_us
+    response_arr = finish_arr - arrival_arr
 
-    n = len(requests)
+    n = len(outcome.dispatch_us)
     stats.wait_us.extend(wait_arr.tolist())
     stats.service_us.extend(service_arr.tolist())
     stats.response_us.extend(response_arr.tolist())
@@ -158,32 +280,4 @@ def fast_replay(device, trace: Trace):
     device._cancel_activity_timers()
     device.kernel.clock.advance_to(outcome.finish_us[-1])
     device._arm_activity_timers()
-
-    completed = []
-    append = completed.append
-    new = _NEW_REQUEST
-    for request, dispatch, finish in zip(
-        requests, outcome.dispatch_us, outcome.finish_us
-    ):
-        timed = new(Request)
-        fields = timed.__dict__
-        fields.update(request.__dict__)
-        fields["service_start_us"] = dispatch
-        fields["finish_us"] = finish
-        append(timed)
-    result_trace = trace.with_requests(completed)
-    flags = np.full(n, FLAG_HAS_SERVICE | FLAG_HAS_FINISH, dtype=np.uint8)
-    result_trace._adopt_columns(
-        TraceColumns(
-            columns.arrival_us,
-            dispatch_arr,
-            finish_arr,
-            columns.lba,
-            columns.size,
-            columns.op,
-            flags,
-        )
-    )
-    return ReplayResult(
-        trace=result_trace, stats=stats, config_name=device.config.name
-    )
+    return dispatch_arr, finish_arr

@@ -164,25 +164,29 @@ class _Planner:
         self.table = ftl.mapping.bulk_table()
         self.allocator = ftl.allocator
 
-        # Written/mapped bitmaps over the LPN range the trace touches,
-        # seeded from any pre-existing mapping state (reused devices).
-        # bytearrays, not ndarrays: the per-request probes are tiny slices
-        # where ``b"\x01" in view`` beats a ufunc reduction by an order of
-        # magnitude.
+        # Written/mapped bitmaps over the LPN range the trace touches
+        # (index ``lpn - base``), seeded from any pre-existing mapping
+        # state (reused devices).  Starting at the lowest LPN, not LPN 0,
+        # keeps them the size of the app's footprint rather than of its
+        # offset on the device.  bytearrays, not ndarrays: the per-request
+        # probes are tiny slices where ``b"\x01" in view`` beats a ufunc
+        # reduction by an order of magnitude.
         if len(columns):
+            base = int(columns.lba.min()) // SECTOR
             cap = int((columns.lba + columns.size).max()) // SECTOR
         else:
-            cap = 0
-        self.written = bytearray(cap)
-        self.mapped = bytearray(cap)
+            base = cap = 0
+        self.base = base
+        self.written = bytearray(cap - base)
+        self.mapped = bytearray(cap - base)
         # Shared all-ones buffer for range sets (sliced, never copied).
         max_pages = int(columns.size.max()) // SECTOR if len(columns) else 0
         self._ones = memoryview(b"\x01" * max_pages)
         for lpn, location in ftl.mapping.items():
-            if lpn < cap:
-                self.mapped[lpn] = 1
+            if base <= lpn < cap:
+                self.mapped[lpn - base] = 1
                 if location.block_id != PRELOADED_BLOCK:
-                    self.written[lpn] = 1
+                    self.written[lpn - base] = 1
 
         # Per-op output columns (lists; converted once at the end).
         self.op_kind: List[int] = []
@@ -285,6 +289,7 @@ class _Planner:
         self.slim_writes += 1
         total_groups = n_large + n_small
         end = first + pages
+        span = slice(first - self.base, end - self.base)  # bitmap indices
 
         # Op emission, in split_write group order.
         self.op_kind.extend([PLAN_PROGRAM] * total_groups)
@@ -305,7 +310,7 @@ class _Planner:
 
         # State mutation: fill each touched plane's active blocks with the
         # LPN tuples the per-group walk would have programmed there.
-        stale_possible = 1 in self.written[first:end]
+        stale_possible = 1 in self.written[span]
         P = self.num_planes
         planes = self.planes
         if n_full:
@@ -350,8 +355,8 @@ class _Planner:
                 )
         self.allocator.advance(total_groups)
         ones = self._ones[:pages]
-        self.written[first:end] = ones
-        self.mapped[first:end] = ones
+        self.written[span] = ones
+        self.mapped[span] = ones
 
     def _write_fits(self, cursor: int, n_large: int, n_small: int) -> bool:
         """Conservative GC-safety check: no pool may near its threshold.
@@ -501,10 +506,10 @@ class _Planner:
             result.migrated_slots for result in outcome.gc_results
         )
         self._emit_flash_ops(outcome.ops)
-        end = first + pages
+        span = slice(first - self.base, first + pages - self.base)
         ones = self._ones[:pages]
-        self.written[first:end] = ones
-        self.mapped[first:end] = ones
+        self.written[span] = ones
+        self.mapped[span] = ones
 
     def _emit_flash_ops(self, ops) -> None:
         """Convert real FlashOps (fallback paths) into plan rows, in order."""
@@ -537,7 +542,8 @@ class _Planner:
     def _plan_read(self, first: int, pages: int, size: int) -> None:
         self.data_bytes_read += size
         end = first + pages
-        if 1 in self.written[first:end]:
+        span = slice(first - self.base, end - self.base)  # bitmap indices
+        if 1 in self.written[span]:
             self._fallback_read(first, end)
             return
         self.slim_reads += 1
@@ -570,7 +576,7 @@ class _Planner:
         self.page_reads[kind] = self.page_reads.get(kind, 0) + n_ops
         # First-touch LPNs get their preload mapping entry, exactly as
         # Ftl._preload would have inserted it.
-        segment = self.mapped[first:end]
+        segment = self.mapped[span]
         if 0 in segment:
             table = self.table
             P = self.num_planes
@@ -592,7 +598,7 @@ class _Planner:
                 )
                 table[lpn] = location
             self.preloaded_pages += touched
-            self.mapped[first:end] = self._ones[:pages]
+            self.mapped[span] = self._ones[:pages]
 
     def _fallback_read(self, first: int, end: int) -> None:
         """The segment holds rewritten data: real FTL lookup/grouping."""
@@ -600,4 +606,4 @@ class _Planner:
         outcome = self.ftl.read(list(range(first, end)))
         self.preloaded_pages += outcome.preloaded_pages
         self._emit_flash_ops(outcome.ops)
-        self.mapped[first:end] = self._ones[: end - first]
+        self.mapped[first - self.base : end - self.base] = self._ones[: end - first]

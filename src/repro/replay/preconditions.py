@@ -7,7 +7,7 @@ the device's own speculative timers.  Everything else falls back to the
 event kernel -- correctness first, speed second.
 
 The decision is pure (no device mutation) and cheap enough to run on
-every ``Host.replay`` call.
+every ``Host.replay`` and ``Host.replay_closed_loop`` call.
 """
 
 from __future__ import annotations
@@ -37,12 +37,14 @@ class FastPathDecision:
         return self.eligible
 
 
-def decide(device, trace) -> FastPathDecision:
+def decide(device, trace=None, first_arrival_us=None) -> FastPathDecision:
     """Whether ``device`` can replay ``trace`` on the fast path.
 
     Every reason returned names a behaviour the two-pass engine does not
     model; an empty tuple means the fast path is bit-exact for this
-    replay.
+    replay.  A closed-loop replay has no trace yet -- its arrivals come
+    out of the timing pass -- so it passes its first arrival as
+    ``first_arrival_us`` instead.
     """
     reasons = []
     config = device.config
@@ -83,7 +85,9 @@ def decide(device, trace) -> FastPathDecision:
             own_timers += 1
     if len(kernel) != own_timers:
         reasons.append("kernel holds events the fast path cannot model")
-    if len(trace) and trace[0].arrival_us < kernel.now_us:
+    if trace is not None and len(trace):
+        first_arrival_us = trace[0].arrival_us
+    if first_arrival_us is not None and first_arrival_us < kernel.now_us:
         # The kernel would raise SimTimeError scheduling this arrival;
         # fall back so the error surfaces identically.
         reasons.append("first arrival precedes the kernel clock")

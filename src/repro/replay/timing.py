@@ -32,6 +32,19 @@ cancels the timer.  A fired timer only flips the low-power flag and its
 entry counter; the warm-up charge itself comes from the same
 ``gap > threshold`` comparison the closed-form model uses.
 
+Closed loop
+-----------
+
+A closed-loop replay (:meth:`repro.sim.Host.replay_closed_loop`) has no
+arrival column: request *i* is scheduled one think-time gap after
+arrival *i - 1* and, if it is synchronous, also waits for completion
+*i - 1*.  At ``queue_depth=1`` that completion is the ``finish`` this
+loop has just computed, so the arrival is one more scalar recurrence in
+the same loop -- ``arrival = previous_arrival + gap``, then
+``max(arrival, previous_finish)`` for a synchronous request -- using the
+exact IEEE operations the kernel-side caller performs.  Everything after
+the arrival is the open-loop arithmetic unchanged.
+
 Why a Python loop and not pure ndarray kernels: the inter-request
 recurrences (queue busy-until, per-resource frontiers) are genuine
 sequential dependencies -- ``np.maximum.accumulate`` covers the
@@ -45,7 +58,7 @@ arithmetic is bit-identical to the scalar expressions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +67,8 @@ import numpy as np
 class TimingOutcome:
     """Timestamps plus the final device timing state (absolute values)."""
 
+    #: The input arrivals (open loop) or the recurrence's (closed loop).
+    arrival_us: List[float]
     dispatch_us: List[float]
     finish_us: List[float]
 
@@ -89,8 +104,20 @@ class TimingOutcome:
     unit_reservations: List[int]
 
 
-def compute_timing(device, plan, arrival_us: np.ndarray) -> TimingOutcome:
-    """Run the timing pass; reads device state, never mutates it."""
+def compute_timing(
+    device,
+    plan,
+    arrival_us: Optional[np.ndarray],
+    gaps_us: Optional[Sequence[float]] = None,
+    synchronous: Optional[Sequence[bool]] = None,
+) -> TimingOutcome:
+    """Run the timing pass; reads device state, never mutates it.
+
+    Open loop passes ``arrival_us``.  Closed loop passes ``None`` there
+    plus the ``n - 1`` think-time ``gaps_us`` and ``synchronous`` flags;
+    each arrival is then computed from the previous completion (see
+    *Closed loop* in the module docstring).
+    """
     latency = device.latency
     ftl_overhead = latency.ftl_overhead_us
     command_overhead = latency.command_overhead_us
@@ -132,19 +159,27 @@ def compute_timing(device, plan, arrival_us: np.ndarray) -> TimingOutcome:
     busy_transfer = stats.busy_transfer_us
     erases = stats.erases
 
-    # One tuple per op: a single index + unpack in the hot loop instead of
-    # five list indexings (zip over the .tolist() columns runs in C).
-    op_rows = list(
-        zip(
-            plan.op_kind.tolist(),
-            plan.op_unit.tolist(),
-            plan.op_unit_us.tolist(),
-            plan.op_channel.tolist(),
-            plan.op_transfer_us.tolist(),
-        )
-    )
+    # Ops are consumed strictly in order, so the hot loop unpacks one
+    # tuple per op straight from a zip over the .tolist() columns: a
+    # single C-level call instead of five list indexings, and no list of
+    # per-op tuples (zip reuses its result tuple once it is unpacked).
+    next_op = zip(
+        plan.op_kind.tolist(),
+        plan.op_unit.tolist(),
+        plan.op_unit_us.tolist(),
+        plan.op_channel.tolist(),
+        plan.op_transfer_us.tolist(),
+    ).__next__
     req_ops = plan.req_ops.tolist()
-    arrivals = arrival_us.tolist()
+    closed_loop = arrival_us is None
+    if closed_loop:
+        # Filled in by the recurrence as the loop goes; the first arrival
+        # is 0.0.
+        arrivals = [0.0] * (len(req_ops) - 1)
+        gaps = np.asarray(gaps_us, dtype=np.float64).tolist()
+        sync = np.asarray(synchronous, dtype=bool).tolist()
+    else:
+        arrivals = arrival_us.tolist()
 
     dispatch_out: List[float] = []
     finish_out: List[float] = []
@@ -153,6 +188,15 @@ def compute_timing(device, plan, arrival_us: np.ndarray) -> TimingOutcome:
 
     position = 0
     for index, arrival in enumerate(arrivals):
+        if closed_loop and index:
+            # Host.replay_closed_loop's kernel-path ops: scheduled one gap
+            # after the previous arrival; a synchronous request arrives at
+            # max(scheduled, previous finish), here as a selection.
+            arrival = arrivals[index - 1] + gaps[index - 1]
+            if sync[index - 1] and finish > arrival:
+                arrival = finish
+            arrivals[index] = arrival
+
         # POWER_DOWN timer: fires iff strictly before this arrival (an
         # arrival at the deadline wins the tie and cancels it).  Firing
         # only flips the flag/counter; the warm-up charge is gap-based.
@@ -199,7 +243,7 @@ def compute_timing(device, plan, arrival_us: np.ndarray) -> TimingOutcome:
                 ctrl_free = issue
                 ctrl_busy += ftl_overhead
                 ctrl_count += 1
-                kind, unit, unit_duration, channel, transfer = op_rows[position]
+                kind, unit, unit_duration, channel, transfer = next_op()
                 if kind == 1:  # PROGRAM: channel from issue, unit after.
                     t_start = ch_free[channel]
                     if t_start < issue:
@@ -262,6 +306,7 @@ def compute_timing(device, plan, arrival_us: np.ndarray) -> TimingOutcome:
         append_finish(finish)
 
     return TimingOutcome(
+        arrival_us=arrivals,
         dispatch_us=dispatch_out,
         finish_us=finish_out,
         busy_until_us=busy_until,

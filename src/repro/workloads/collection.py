@@ -11,35 +11,35 @@ request finds the device idle.
 :func:`collect` reproduces this: requests are issued with the calibrated
 think-time gaps, but a per-request *synchronous* flag (calibrated from the
 Table IV no-wait target) makes the request wait for the previous completion
-before it is issued.  The result is a completed trace whose recorded
-timestamps mirror what BIOtracer would have logged on the reference device;
-replaying that trace open-loop on other device configurations is then
-exactly the paper's Fig. 8 methodology.
+before it is issued.  The request stream, gaps and flags are all drawn up
+front; :meth:`repro.sim.Host.replay_closed_loop` then serves the stream,
+computing each arrival from the previous completion.  The result is a
+completed trace whose recorded timestamps mirror what BIOtracer would have
+logged on the reference device; replaying that trace open-loop on other
+device configurations is then exactly the paper's Fig. 8 methodology.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.trace import (
-    FLAG_HAS_FINISH,
-    FLAG_HAS_SERVICE,
-    Op,
-    Request,
-    SECTOR,
-    Trace,
-    TraceColumns,
-)
+from repro.trace import Trace
 from repro.emmc.configs import four_ps
 from repro.emmc.device import DeviceConfig, EmmcDevice
 from repro.emmc.stats import DeviceStats
+from repro.sim import Host
 
-from .addresses import AccessMode
-from .generator import DEFAULT_SEED, _calibrated_temporal, _rng_for
+from .generator import (
+    DEFAULT_SEED,
+    _calibrated_temporal,
+    _draw_requests,
+    _memoizable,
+    _rng_for,
+)
 from .profiles import AppProfile, profile
 
 
@@ -51,7 +51,8 @@ class CollectionResult:
     device_stats: DeviceStats
 
 
-#: Cache of calibrated sync fractions, keyed by (app, seed).
+#: Cache of calibrated sync fractions of the registered profiles, keyed by
+#: (app name, seed).
 _sync_cache = {}
 
 #: Pilot length for the sync-fraction calibration.
@@ -66,21 +67,29 @@ def sync_fraction(app: AppProfile, seed: int = DEFAULT_SEED) -> float:
     measured no-wait ratio is roughly ``s + (1 - s) * (1 - p)``, so one
     pilot collection at ``s0 = target`` estimates the async no-wait rate
     and a corrected ``s`` solves for the Table IV target exactly.
+
+    Memoized for the registered profiles only: a modified copy of a
+    profile that keeps its name calibrates fresh.
     """
     key = (app.name, seed)
-    cached = _sync_cache.get(key)
+    memoize = _memoizable(app)
+    cached = _sync_cache.get(key) if memoize else None
     if cached is not None:
         return cached
     target = app.timing_stats.nowait_pct / 100.0
     guess = min(0.98, target)
     pilot_count = min(app.num_requests, _PILOT_REQUESTS)
-    pilot = _collect(app, seed, pilot_count, guess, stream="sync-pilot")
-    measured = sum(1 for r in pilot.trace if r.no_wait) / len(pilot.trace)
+    pilot = _collect(app, seed, pilot_count, guess, stream="sync-pilot").trace
+    columns = pilot.columns()
+    # Request.no_wait's test, over the columns.
+    no_wait = columns.service_start_us - columns.arrival_us <= 1e-6
+    measured = int(np.count_nonzero(no_wait)) / len(pilot)
     if guess < 1.0 and measured > guess:
         async_nowait = (measured - guess) / (1.0 - guess)
         if async_nowait < 1.0:
             guess = max(0.0, min(0.98, (target - async_nowait) / (1.0 - async_nowait)))
-    _sync_cache[key] = guess
+    if memoize:
+        _sync_cache[key] = guess
     return guess
 
 
@@ -116,75 +125,26 @@ def _collect(
     device = EmmcDevice(config or four_ps())
     rng = _rng_for(app.name, seed, stream)
     sync_rng = _rng_for(app.name, seed, f"{stream}-sync")
-    arrival_model = app.arrival_model()
-    read_sizes = app.size_model(op_is_write=False)
-    write_sizes = app.size_model(op_is_write=True)
     address_model = dataclasses.replace(
         app.address_model(), temporal=_calibrated_temporal(app, seed)
     )
-    address_sampler = address_model.sampler(rng)
-    gaps = arrival_model.sample_gaps(count - 1, rng) if count > 1 else []
-
-    # Closed-loop pacing makes this loop inherently sequential (each
-    # arrival depends on the previous completion), but like the open-loop
-    # generator it fills the columnar arrays as it goes so the collected
-    # trace -- the input of the Table IV / Fig. 5-7 analysis kernels --
-    # carries its struct-of-arrays view from birth.
-    arrival_column = np.empty(count, dtype=np.float64)
-    service_column = np.empty(count, dtype=np.float64)
-    complete_column = np.empty(count, dtype=np.float64)
-    lba_column = np.empty(count, dtype=np.int64)
-    size_column = np.empty(count, dtype=np.int64)
-    op_column = np.empty(count, dtype=np.uint8)
-    completed: List[Request] = []
-    previous_op: Optional[Op] = None
-    previous_arrival = 0.0
-    previous_finish = 0.0
-    for index in range(count):
-        mode = address_model.choose_mode(rng)
-        if mode is AccessMode.SEQUENTIAL and previous_op is not None:
-            op = previous_op
-        else:
-            op = Op.WRITE if rng.random() < app.write_frac else Op.READ
-        size_model = write_sizes if op is Op.WRITE else read_sizes
-        size = int(size_model.sample(rng)) * SECTOR
-        lba = address_sampler.next_address(mode, size)
-        if index == 0:
-            arrival = 0.0
-        else:
-            scheduled = previous_arrival + float(gaps[index - 1])
-            synchronous = sync_rng.random() < sync_frac
-            arrival = max(scheduled, previous_finish) if synchronous else scheduled
-        request = device.submit(Request(arrival_us=arrival, lba=lba, size=size, op=op))
-        completed.append(request)
-        arrival_column[index] = request.arrival_us
-        service_column[index] = request.service_start_us
-        complete_column[index] = request.finish_us
-        lba_column[index] = request.lba
-        size_column[index] = request.size
-        op_column[index] = request.op is Op.WRITE
-        previous_op = op
-        previous_arrival = request.arrival_us
-        previous_finish = request.finish_us
-    columns = TraceColumns(
-        arrival_column,
-        service_column,
-        complete_column,
-        lba_column,
-        size_column,
-        op_column,
-        np.full(count, FLAG_HAS_SERVICE | FLAG_HAS_FINISH, dtype=np.uint8),
+    # The whole stream is drawn before the device serves any of it: the
+    # gaps and the requests from one stream in the generator's order, the
+    # synchronous flags from their own.  Only the arrivals depend on the
+    # device, and Host.replay_closed_loop computes them from completions.
+    gaps = app.arrival_model().sample_gaps(count - 1, rng) if count > 1 else []
+    lbas, sizes, ops = _draw_requests(app, rng, address_model, count)
+    synchronous = sync_rng.random(count - 1) < sync_frac
+    trace = (
+        Host(device)
+        .replay_closed_loop(lbas, sizes, ops, gaps, synchronous, name=app.name)
+        .trace
     )
-    trace = Trace.from_columns(
-        app.name,
-        columns,
-        metadata={
-            "generator": "repro.workloads.collection",
-            "seed": str(seed),
-            "profile": app.name,
-            "collection_device": device.config.name,
-            "sync_fraction": f"{sync_frac:.3f}",
-        },
-        requests=completed,
-    )
+    trace.metadata = {
+        "generator": "repro.workloads.collection",
+        "seed": str(seed),
+        "profile": app.name,
+        "collection_device": device.config.name,
+        "sync_fraction": f"{sync_frac:.3f}",
+    }
     return CollectionResult(trace=trace, device_stats=device.stats)

@@ -25,7 +25,7 @@ from repro.analysis.locality import temporal_locality
 from repro.trace import Op, Request, SECTOR, Trace, TraceColumns
 
 from .addresses import AccessMode, AddressModel
-from .profiles import AppProfile, all_profiles, profile
+from .profiles import PROFILES, AppProfile, all_profiles, profile
 
 #: Base seed of the released trace set; every trace derives its own stream.
 DEFAULT_SEED = 20150614
@@ -34,7 +34,8 @@ DEFAULT_SEED = 20150614
 _PILOT_REQUESTS = 4000
 _PILOT_ITERATIONS = 2
 
-#: Cache of calibrated re-hit probabilities, keyed by (app, seed).
+#: Cache of calibrated re-hit probabilities of the registered profiles,
+#: keyed by (app name, seed).
 _temporal_cache: Dict[Tuple[str, int], float] = {}
 
 
@@ -88,25 +89,58 @@ def _generate(
     stream: str,
 ) -> Trace:
     rng = _rng_for(app.name, seed, stream)
-    arrival_model = app.arrival_model()
+    arrivals = app.arrival_model().sample_arrivals(count, rng)
+    lbas, sizes, ops = _draw_requests(app, rng, address_model, count)
+    requests = [
+        Request(arrival_us=arrival, lba=lba, size=size, op=op)
+        for arrival, lba, size, op in zip(arrivals.tolist(), lbas, sizes, ops)
+    ]
+    never_replayed = np.full(count, np.nan, dtype=np.float64)
+    columns = TraceColumns(
+        arrivals,
+        never_replayed,
+        never_replayed.copy(),
+        np.array(lbas, dtype=np.int64),
+        np.array(sizes, dtype=np.int64),
+        np.array([op is Op.WRITE for op in ops], dtype=np.uint8),
+        np.zeros(count, dtype=np.uint8),
+    )
+    return Trace.from_columns(
+        app.name,
+        columns,
+        metadata={
+            "generator": "repro.workloads",
+            "seed": str(seed),
+            "profile": app.name,
+            "requests": str(count),
+        },
+        requests=requests,
+    )
+
+
+def _draw_requests(
+    app: AppProfile,
+    rng: np.random.Generator,
+    address_model: AddressModel,
+    count: int,
+) -> Tuple[List[int], List[int], List[Op]]:
+    """Draw ``count`` requests' (lba, size, op) from ``rng``, in trace order.
+
+    The one per-request draw loop of the workload layer: the open-loop
+    generator and closed-loop collection both call it after drawing
+    their arrival gaps from the same stream, so a collected trace has
+    exactly the generated trace's addresses, sizes and ops.  The draws
+    are data-dependent and interleave one shared stream, so they cannot
+    be batched without changing every released trace.
+    """
     read_sizes = app.size_model(op_is_write=False)
     write_sizes = app.size_model(op_is_write=True)
     address_sampler = address_model.sampler(rng)
-
-    arrivals = arrival_model.sample_arrivals(count, rng)
-    # Synthesize straight into the columnar layout: the per-request loop
-    # below keeps the exact RNG draw sequence of the original Request-list
-    # construction (the draws are data-dependent and interleave one shared
-    # stream, so they cannot be batched without changing every released
-    # trace), but it fills preallocated columns as it goes, so the result
-    # carries its struct-of-arrays view from birth and the downstream
-    # analysis kernels never pay the Request-unpacking pass.
-    lba_column = np.empty(count, dtype=np.int64)
-    size_column = np.empty(count, dtype=np.int64)
-    op_column = np.empty(count, dtype=np.uint8)
-    requests: List[Request] = []
-    append_request = requests.append
+    lbas: List[int] = []
+    sizes: List[int] = []
+    ops: List[Op] = []
     random_draw = rng.random
+    next_address = address_sampler.next_address
     spatial_edge = address_model.spatial
     rehit_edge = spatial_edge + address_model.temporal
     write_frac = app.write_frac
@@ -117,7 +151,7 @@ def _generate(
         AccessMode.FRESH,
     )
     previous_op: Optional[Op] = None
-    for index in range(count):
+    for _ in range(count):
         # Inlined AddressModel.choose_mode: one uniform draw against the
         # cumulative locality edges (identical stream position and result).
         draw = random_draw()
@@ -136,42 +170,21 @@ def _generate(
             op = op_write if random_draw() < write_frac else op_read
         size_model = write_sizes if op is op_write else read_sizes
         size = int(size_model.sample(rng)) * SECTOR
-        lba = address_sampler.next_address(mode, size)
-        lba_column[index] = lba
-        size_column[index] = size
-        op_column[index] = op is op_write
-        append_request(
-            Request(arrival_us=float(arrivals[index]), lba=lba, size=size, op=op)
-        )
+        lbas.append(next_address(mode, size))
+        sizes.append(size)
+        ops.append(op)
         previous_op = op
-
-    never_replayed = np.full(count, np.nan, dtype=np.float64)
-    columns = TraceColumns(
-        arrivals,
-        never_replayed,
-        never_replayed.copy(),
-        lba_column,
-        size_column,
-        op_column,
-        np.zeros(count, dtype=np.uint8),
-    )
-    return Trace.from_columns(
-        app.name,
-        columns,
-        metadata={
-            "generator": "repro.workloads",
-            "seed": str(seed),
-            "profile": app.name,
-            "requests": str(count),
-        },
-        requests=requests,
-    )
+    return lbas, sizes, ops
 
 
 def _calibrated_temporal(app: AppProfile, seed: int) -> float:
-    """Re-hit probability whose *measured* temporal locality hits Table IV."""
+    """Re-hit probability whose *measured* temporal locality hits Table IV.
+
+    Memoized for the registered profiles only (see :func:`_memoizable`).
+    """
     key = (app.name, seed)
-    cached = _temporal_cache.get(key)
+    memoize = _memoizable(app)
+    cached = _temporal_cache.get(key) if memoize else None
     if cached is not None:
         return cached
     target = app.timing_stats.temporal_locality_pct / 100.0
@@ -186,8 +199,21 @@ def _calibrated_temporal(app: AppProfile, seed: int) -> float:
         if measured <= 1e-6 or abs(measured - target) < 0.002:
             break
         rehit = min(ceiling, max(0.0, rehit * target / measured))
-    _temporal_cache[key] = rehit
+    if memoize:
+        _temporal_cache[key] = rehit
     return rehit
+
+
+def _memoizable(app: AppProfile) -> bool:
+    """Whether a calibration of ``app`` may be memoized under its name.
+
+    The calibration memos are keyed on ``(app.name, seed)``, which names
+    the profile only when ``app`` is the registered object itself; a
+    modified copy that keeps the name calibrates fresh every time.
+    (``AppProfile`` cannot be the key: its ``extra`` dict makes it
+    unhashable.)
+    """
+    return PROFILES.get(app.name) is app
 
 
 def generate_all(

@@ -4,7 +4,8 @@ Every configuration the two-pass engine does not model must (a) be
 flagged ineligible by :func:`repro.replay.preconditions.decide` with a
 reason naming the behaviour, (b) silently run on the event kernel in
 ``auto`` mode, and (c) raise :class:`FastPathUnavailable` under
-``REPRO_REPLAY_FASTPATH=require``.
+``REPRO_REPLAY_FASTPATH=require`` -- through both ``Host`` entries, the
+open-loop ``replay`` and ``replay_closed_loop``.
 """
 
 import pytest
@@ -29,6 +30,18 @@ def _trace(num=40, offset_us=0.0):
             )
             for i in range(num)
         ],
+    )
+
+
+def _closed_loop(host, num=40):
+    """Serve ``_trace()``'s stream closed-loop, every other request synchronous."""
+    requests = list(_trace(num))
+    return host.replay_closed_loop(
+        [request.lba for request in requests],
+        [request.size for request in requests],
+        [request.op for request in requests],
+        [120.0] * (num - 1),
+        [index % 2 == 0 for index in range(num - 1)],
     )
 
 
@@ -108,6 +121,25 @@ class TestIneligible:
         with pytest.raises(FastPathUnavailable, match=reason_part.replace("(", "\\(")):
             Host(device).replay(_trace())
 
+    def test_closed_loop_auto_mode_falls_back_to_the_kernel(
+        self, label, factory, reason_part, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_REPLAY_FASTPATH", raising=False)
+        device = factory()
+        result = _closed_loop(Host(device))
+        assert len(result.trace) == 40
+        assert device.kernel.processed > 0
+
+    def test_closed_loop_require_mode_raises(
+        self, label, factory, reason_part, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_REPLAY_FASTPATH", "require")
+        device = factory()
+        with pytest.raises(FastPathUnavailable, match=reason_part.replace("(", "\\(")):
+            _closed_loop(Host(device))
+        # The fallback decision comes before any request is served.
+        assert device.stats.requests == 0
+
 
 class TestEligible:
     def test_base_config_takes_the_fast_path(self, monkeypatch):
@@ -126,6 +158,13 @@ class TestEligible:
         Host(device).replay(_trace())
         follow_up = _trace(offset_us=device.kernel.now_us + 1e6)
         assert decide(device, follow_up).eligible
+
+    def test_closed_loop_base_config_takes_the_fast_path(self, monkeypatch):
+        monkeypatch.delenv("REPRO_REPLAY_FASTPATH", raising=False)
+        device = EmmcDevice(small_four_ps())
+        result = _closed_loop(Host(device))
+        assert len(result.trace) == 40
+        assert device.kernel.processed == 0
 
     def test_observer_pins_the_event_kernel(self, monkeypatch):
         monkeypatch.delenv("REPRO_REPLAY_FASTPATH", raising=False)
@@ -150,6 +189,48 @@ class TestStructuralFallbacks:
         decision = decide(device, stale)
         assert not decision.eligible
         assert any("precedes the kernel clock" in r for r in decision.reasons)
+
+
+    def test_closed_loop_behind_the_clock_falls_back(self, monkeypatch):
+        # A closed loop starts at 0.0, so a device whose clock has moved
+        # on is ineligible and the kernel raises as it always has.
+        monkeypatch.setenv("REPRO_REPLAY_FASTPATH", "require")
+        device = EmmcDevice(small_four_ps())
+        Host(device).replay(_trace())
+        with pytest.raises(FastPathUnavailable, match="precedes the kernel clock"):
+            _closed_loop(Host(device))
+
+
+class TestClosedLoopInput:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"gaps_us": [120.0] * 5}, "one entry per request after the first"),
+            ({"synchronous": [True] * 40}, "one entry per request after the first"),
+            ({"size": [SECTOR] * 39}, "one entry per request"),
+            ({"gaps_us": [-1.0] + [120.0] * 38}, "non-negative"),
+            ({"lba": [100] * 40}, "multiple of 4096"),
+            ({"size": [0] * 40}, "positive multiple"),
+        ],
+    )
+    def test_malformed_stream_is_rejected(self, change, message):
+        stream = {
+            "lba": [SECTOR * i for i in range(40)],
+            "size": [SECTOR] * 40,
+            "op": [Op.WRITE] * 40,
+            "gaps_us": [120.0] * 39,
+            "synchronous": [True] * 39,
+        }
+        stream.update(change)
+        device = EmmcDevice(small_four_ps())
+        with pytest.raises(ValueError, match=message):
+            Host(device).replay_closed_loop(**stream)
+        assert device.stats.requests == 0
+
+    def test_empty_stream(self):
+        device = EmmcDevice(small_four_ps())
+        result = Host(device).replay_closed_loop([], [], [], [], [])
+        assert len(result.trace) == 0 and device.stats.requests == 0
 
 
 class TestEnvSwitch:

@@ -5,9 +5,11 @@ and the returned timestamps in *exactly* the state a kernel replay
 produces -- ``==`` on every float, digest-equal stats, identical FTL
 mapping.  These tests pin that on real generated workloads, including
 GC-heavy small-geometry runs that exercise the planner's per-request
-fallback to the full FTL write path.
+fallback to the full FTL write path, for both arrival shapes: open loop
+(``Host.replay``) and closed loop (``Host.replay_closed_loop``).
 """
 
+import numpy as np
 import pytest
 
 from repro.emmc import EmmcDevice, small_eight_ps, small_four_ps, small_hps
@@ -30,12 +32,34 @@ CONFIGS = {
 APPS = ["Twitter", "Booting", "WebBrowsing"]
 
 
-def _replay(config_factory, app, mode, monkeypatch):
+def _closed_loop(host, trace):
+    """Serve ``trace``'s stream closed-loop: its own gaps, half synchronous."""
+    columns = trace.columns()
+    count = len(trace)
+    synchronous = np.random.default_rng(SEED).random(count - 1) < 0.5
+    return host.replay_closed_loop(
+        columns.lba,
+        columns.size,
+        [request.op for request in trace],
+        np.diff(columns.arrival_us),
+        synchronous,
+        name=trace.name,
+    )
+
+
+#: The two arrival shapes, each a ``(host, trace) -> ReplayResult``.
+SHAPES = {
+    "open": lambda host, trace: host.replay(trace),
+    "closed": _closed_loop,
+}
+
+
+def _replay(config_factory, app, mode, monkeypatch, shape="open"):
     monkeypatch.setenv("REPRO_REPLAY_FASTPATH", mode)
     device = EmmcDevice(config_factory())
     trace = generate_trace(app, seed=SEED, num_requests=REQUESTS).without_timing()
     try:
-        result = Host(device).replay(trace)
+        result = SHAPES[shape](Host(device), trace)
     except OutOfSpaceError:
         # Write-heavy traces can exhaust a small geometry outright; both
         # engines must agree on that too (error parity, checked below).
@@ -43,12 +67,13 @@ def _replay(config_factory, app, mode, monkeypatch):
     return device, result
 
 
+@pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 @pytest.mark.parametrize("app", APPS)
-def test_fast_path_matches_kernel(config_name, app, monkeypatch):
+def test_fast_path_matches_kernel(config_name, app, shape, monkeypatch):
     factory = CONFIGS[config_name]
-    kernel_device, kernel_result = _replay(factory, app, "off", monkeypatch)
-    fast_device, fast_result = _replay(factory, app, "require", monkeypatch)
+    kernel_device, kernel_result = _replay(factory, app, "off", monkeypatch, shape)
+    fast_device, fast_result = _replay(factory, app, "require", monkeypatch, shape)
 
     if kernel_result is None or fast_result is None:
         # Capacity exhaustion must strike in both modes or neither.
@@ -67,7 +92,13 @@ def test_fast_path_matches_kernel(config_name, app, monkeypatch):
     assert dict(fast_device.ftl.mapping.items()) == dict(
         kernel_device.ftl.mapping.items()
     )
+    # The kernel clock after the kernel path's drain, and the one timer
+    # drain() leaves pending: POWER_DOWN after the last request.
     assert fast_device.kernel.now_us == kernel_device.kernel.now_us
+    assert (
+        fast_device._power_down_timer.time_us
+        == kernel_device._power_down_timer.time_us
+    )
 
 
 def test_mixed_fast_and_kernel_runs_digest_identically(monkeypatch):

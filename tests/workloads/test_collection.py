@@ -1,5 +1,7 @@
 """Tests for closed-loop trace collection (the BIOtracer methodology)."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import timing_stats
@@ -55,3 +57,32 @@ class TestSyncFraction:
     def test_ordering_follows_targets(self):
         """A 98 % no-wait app needs a larger sync share than a 23 % one."""
         assert sync_fraction(profile("CallIn")) > sync_fraction(profile("Movie"))
+
+    def test_memo_holds_only_the_registered_profile(self):
+        """A modified copy that keeps the name calibrates fresh."""
+        from repro.workloads.collection import _sync_cache
+        from repro.workloads.generator import _calibrated_temporal, _temporal_cache
+
+        email = profile("Email")
+        registered = sync_fraction(email, seed=3)
+        assert _sync_cache[("Email", 3)] == registered
+        quiet = dataclasses.replace(
+            email, timing_stats=dataclasses.replace(email.timing_stats, nowait_pct=20.0)
+        )
+        fresh = sync_fraction(quiet, seed=3)
+        assert fresh != registered
+        _sync_cache.pop(("Email", 3))
+        assert sync_fraction(quiet, seed=3) == fresh
+        assert ("Email", 3) not in _sync_cache
+
+        rehit = _calibrated_temporal(email, 3)
+        assert _temporal_cache[("Email", 3)] == rehit
+        sparse = dataclasses.replace(
+            email,
+            timing_stats=dataclasses.replace(email.timing_stats, temporal_locality_pct=5.0),
+        )
+        fresh_rehit = _calibrated_temporal(sparse, 3)
+        assert fresh_rehit < rehit
+        _temporal_cache.pop(("Email", 3))
+        assert _calibrated_temporal(sparse, 3) == fresh_rehit
+        assert ("Email", 3) not in _temporal_cache
