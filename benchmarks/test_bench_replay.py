@@ -2,11 +2,8 @@
 
 PR 8's tentpole lowers qd=1 open-loop replay onto the two-pass columnar
 engine and promises at least a 3x speedup on the Fig. 8-style replay
-battery.  Machine noise on shared runners is large relative to the
-numbers under test, so the two modes are timed **interleaved** (kernel,
-fast, kernel, fast, ...) and the best of ``_ROUNDS`` repetitions per
-mode is compared -- interleaved minima are stable where back-to-back
-means are not.
+battery.  The two modes are timed interleaved, best of ``_ROUNDS``
+repetitions per mode (:func:`conftest.interleaved_best`).
 
 The bit-identity side of the contract is asserted too: the fast battery
 must produce float-equal MRT values, not merely close ones.
@@ -15,12 +12,11 @@ must produce float-equal MRT values, not merely close ones.
 from __future__ import annotations
 
 import os
-import time
 
 from repro.experiments import fig8
 from repro.replay import REPLAY_FASTPATH_ENV
 
-from conftest import BENCH_SEED, run_once
+from conftest import BENCH_SEED, interleaved_best, run_once
 
 #: Heavy Fig. 8b traces plus light Fig. 8a ones (same mix as the fig8
 #: benchmark) -- each replayed on 4PS, 8PS and HPS.
@@ -35,25 +31,18 @@ _MIN_SPEEDUP = 3.0
 def _battery(mode: str):
     os.environ[REPLAY_FASTPATH_ENV] = mode
     try:
-        started = time.perf_counter()
-        result = fig8.run(seed=BENCH_SEED, num_requests=_REQUESTS, apps=_APPS)
-        return result, time.perf_counter() - started
+        return fig8.run(seed=BENCH_SEED, num_requests=_REQUESTS, apps=_APPS)
     finally:
         del os.environ[REPLAY_FASTPATH_ENV]
 
 
 def test_fast_path_battery_speedup(benchmark):
-    def measure():
-        kernel_best = fast_best = float("inf")
-        kernel_result = fast_result = None
-        for _ in range(_ROUNDS):
-            kernel_result, kernel_s = _battery("off")
-            kernel_best = min(kernel_best, kernel_s)
-            fast_result, fast_s = _battery("require")
-            fast_best = min(fast_best, fast_s)
-        return kernel_result, fast_result, kernel_best, fast_best
-
-    kernel_result, fast_result, kernel_s, fast_s = run_once(benchmark, measure)
+    kernel_result, fast_result, kernel_s, fast_s = run_once(
+        benchmark,
+        lambda: interleaved_best(
+            lambda: _battery("off"), lambda: _battery("require"), _ROUNDS
+        ),
+    )
 
     # Bit-identity: float-equal MRTs per app per scheme, not approx.
     assert fast_result.data["mrt"] == kernel_result.data["mrt"]

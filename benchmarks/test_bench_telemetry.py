@@ -13,19 +13,16 @@ PR 9's telemetry contract has two performance sides:
   decomposition must cost at most ``_MAX_SLOWDOWN``x the disabled
   kernel replay.
 
-Machine noise on shared runners is large relative to the numbers under
-test, so the two modes are timed **interleaved** (disabled, enabled,
-disabled, enabled, ...) and the best of ``_ROUNDS`` repetitions per
-mode is compared -- interleaved minima are stable where back-to-back
-means are not.  Both modes pin ``REPRO_REPLAY_FASTPATH=off`` so they
-time the same engine: an attached sink forces the kernel anyway, and
-comparing kernel-to-kernel isolates the recording cost.
+The two modes are timed interleaved, best of ``_ROUNDS`` repetitions
+per mode (:func:`conftest.interleaved_best`), over the same traces.
+Both modes pin ``REPRO_REPLAY_FASTPATH=off`` so they time the same
+engine: an attached sink forces the kernel anyway, and comparing
+kernel-to-kernel isolates the recording cost.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 from repro.emmc import EmmcDevice, four_ps
 from repro.replay import REPLAY_FASTPATH_ENV
@@ -33,7 +30,7 @@ from repro.sim import Host
 from repro.telemetry import Telemetry
 from repro.workloads import generate_trace
 
-from conftest import BENCH_SEED, QUICK_REQUESTS, run_once
+from conftest import BENCH_SEED, QUICK_REQUESTS, interleaved_best, run_once
 
 #: A reduced Fig. 8 mix: one heavy 8b trace, one mixed, one light 8a.
 _APPS = ["Booting", "CameraVideo", "Twitter"]
@@ -43,19 +40,21 @@ _ROUNDS = 3
 _MAX_SLOWDOWN = 1.5
 
 
-def _battery(with_sink: bool):
-    """Replay the battery on the kernel; return (stats tuple, seconds)."""
-    config = four_ps()
-    traces = [
+def _traces():
+    return [
         generate_trace(
             app, seed=BENCH_SEED, num_requests=QUICK_REQUESTS
         ).without_timing()
         for app in _APPS
     ]
+
+
+def _battery(traces, with_sink: bool):
+    """Replay the battery on the kernel; return the per-trace MRTs."""
+    config = four_ps()
     os.environ[REPLAY_FASTPATH_ENV] = "off"
     try:
         mrts = []
-        started = time.perf_counter()
         for trace in traces:
             sink = Telemetry() if with_sink else None
             device = EmmcDevice(config, telemetry=sink)
@@ -63,24 +62,20 @@ def _battery(with_sink: bool):
             mrts.append(sum(result.stats.response_us) / len(result.trace))
             if with_sink:
                 assert sink.spans and sink.decompositions
-        return tuple(mrts), time.perf_counter() - started
+        return tuple(mrts)
     finally:
         del os.environ[REPLAY_FASTPATH_ENV]
 
 
 def test_enabled_overhead_bounded(benchmark):
-    def measure():
-        disabled_best = enabled_best = float("inf")
-        disabled_mrts = enabled_mrts = None
-        for _ in range(_ROUNDS):
-            disabled_mrts, disabled_s = _battery(with_sink=False)
-            disabled_best = min(disabled_best, disabled_s)
-            enabled_mrts, enabled_s = _battery(with_sink=True)
-            enabled_best = min(enabled_best, enabled_s)
-        return disabled_mrts, enabled_mrts, disabled_best, enabled_best
-
+    traces = _traces()
     disabled_mrts, enabled_mrts, disabled_s, enabled_s = run_once(
-        benchmark, measure
+        benchmark,
+        lambda: interleaved_best(
+            lambda: _battery(traces, with_sink=False),
+            lambda: _battery(traces, with_sink=True),
+            _ROUNDS,
+        ),
     )
 
     # Observation only: the sink changes no simulated number.

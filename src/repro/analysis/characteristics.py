@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.trace import Trace, US_PER_MS, sequential_sum
+from repro.trace import Trace
 
 from .distributions import long_gap_share, small_request_share
 from .locality import measure as measure_localities
@@ -123,14 +123,8 @@ def characteristic_5(traces: Sequence[Trace]) -> CharacteristicResult:
 
 def characteristic_6(traces: Sequence[Trace]) -> CharacteristicResult:
     """Inter-arrival times are long: 13/18 mean >= 200 ms, 10/18 with > 20 % above 16 ms."""
-    means_ms = []
-    long_shares = []
-    for trace in traces:
-        gaps = trace.columns().inter_arrival_us
-        means_ms.append(
-            sequential_sum(gaps) / gaps.size / US_PER_MS if gaps.size else 0.0
-        )
-        long_shares.append(long_gap_share(trace, threshold_ms=16.0))
+    means_ms = [timing_stats(trace).mean_interarrival_ms for trace in traces]
+    long_shares = [long_gap_share(trace, threshold_ms=16.0) for trace in traces]
     above_200 = sum(1 for mean in means_ms if mean >= 200.0)
     with_long_tail = sum(1 for share in long_shares if share > 0.20)
     return CharacteristicResult(

@@ -90,9 +90,10 @@ def trace_throughput_by_size(traces, op: Op) -> Dict[int, float]:
     For every request size found in replayed ``traces``, the average rate
     (size / response time) over all requests of that size and type, MB/s.
     Thin adapter over the registered per-op metric in
-    :mod:`repro.metrics.throughput`.
+    :mod:`repro.metrics.throughput`: the traces pool by folding each
+    one's columns in order.
     """
     from repro.metrics.throughput import THROUGHPUT_BY_SIZE_READ, THROUGHPUT_BY_SIZE_WRITE
 
     metric = THROUGHPUT_BY_SIZE_WRITE if op is Op.WRITE else THROUGHPUT_BY_SIZE_READ
-    return metric.batch_traces([trace.columns() for trace in traces])
+    return metric.fold(trace.columns() for trace in traces)

@@ -203,12 +203,12 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_metrics_list(_args) -> int:
-    from repro.metrics import all_metrics
+    from repro.metrics import ENGINES, all_metrics
 
     rows = [
         [
             metric.name,
-            ", ".join(metric.engines),
+            ", ".join(ENGINES),
             ", ".join(metric.carry_fields) or "-",
             metric.value_doc,
         ]

@@ -51,10 +51,10 @@ from repro.trace import Request, SECTOR, Trace
 
 from .cache import RamBuffer
 from .distributor import RequestDistributor
-from .ftl import Ftl, GreedyGC, StaticWearLeveler, VictimPolicy
+from .ftl import Ftl, GreedyGC, StaticWearLeveler, VictimPolicy, WriteOutcome
 from .geometry import Geometry, PageKind
 from .latency import LatencyParams
-from .ops import FlashOp, FlashOpType, WriteGroup
+from .ops import FlashOp, FlashOpType
 from .power import PowerModel
 from .stats import DeviceStats
 
@@ -534,18 +534,13 @@ class EmmcDevice:
             if self.buffer is not None:
                 evicted = self.buffer.write(lpns)
                 if evicted:
-                    ops.extend(self._write_lpns(evicted))
+                    ops.extend(self._program(evicted).ops)
                 absorbed = not ops
                 self.stats.data_bytes_written += request.size
             else:
-                outcome = self.ftl.write(self.distributor.split_write(request))
+                outcome = self._program(lpns)
                 ops.extend(outcome.ops)
                 self.stats.data_bytes_written += outcome.data_bytes
-                self.stats.flash_bytes_consumed += outcome.flash_bytes
-                self.stats.gc_collections += len(outcome.gc_results)
-                self.stats.gc_migrated_slots += sum(
-                    result.migrated_slots for result in outcome.gc_results
-                )
         else:
             lpns = self.distributor.lpns_of(request)
             if self.buffer is not None:
@@ -560,26 +555,20 @@ class EmmcDevice:
             self.stats.data_bytes_read += request.size
         return ops, absorbed
 
-    def _write_lpns(self, lpns: List[int]) -> List[FlashOp]:
-        """Flush buffered pages: pack into write groups like a host write."""
-        groups: List[WriteGroup] = []
-        large = self.distributor.largest
-        index = 0
-        while index + large.slots <= len(lpns):
-            groups.append(WriteGroup(large, tuple(lpns[index : index + large.slots])))
-            index += large.slots
-        remainder = lpns[index:]
-        if remainder:
-            if self.distributor.hybrid or large.slots == 1:
-                small = self.distributor.smallest
-                groups.extend(WriteGroup(small, (lpn,)) for lpn in remainder)
-            else:
-                padded = tuple(remainder) + (None,) * (large.slots - len(remainder))
-                groups.append(WriteGroup(large, padded))
-        outcome = self.ftl.write(groups)
-        self.stats.flash_bytes_consumed += outcome.flash_bytes
-        self.stats.gc_collections += len(outcome.gc_results)
-        return outcome.ops
+    def _program(self, lpns: List[int]) -> WriteOutcome:
+        """Program ``lpns`` packed by the distributor; account flash use and GC.
+
+        Host writes and RAM-buffer flushes both program through here, so
+        every GC collection and migrated slot reaches the stats.
+        """
+        outcome = self.ftl.write(self.distributor.pack(lpns))
+        stats = self.stats
+        stats.flash_bytes_consumed += outcome.flash_bytes
+        stats.gc_collections += len(outcome.gc_results)
+        stats.gc_migrated_slots += sum(
+            result.migrated_slots for result in outcome.gc_results
+        )
+        return outcome
 
     # -- timing engine --------------------------------------------------------------
 

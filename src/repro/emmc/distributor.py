@@ -57,24 +57,34 @@ class RequestDistributor:
         """Distribute a write request over physical pages."""
         if not request.is_write:
             raise ValueError("split_write needs a write request")
-        lpns = self.lpns_of(request)
+        return self.pack(self.lpns_of(request))
+
+    def pack(self, lpns: Sequence[int]) -> List[WriteGroup]:
+        """Pack logical pages, in order, into per-physical-page write groups.
+
+        Full large pages first; the tail goes to small pages on a hybrid
+        device (no padding) and pads one last large page otherwise.  Host
+        writes, RAM-buffer flushes and the replay planner's FTL fallback
+        all pack through here.
+        """
         large = self.largest
-        if large.slots == 1:
+        slots = large.slots
+        if slots == 1:
             # Pure small-page device: one group per logical page.
             return [WriteGroup(large, (lpn,)) for lpn in lpns]
-        groups: List[WriteGroup] = []
-        index = 0
-        while index + large.slots <= len(lpns):
-            groups.append(WriteGroup(large, tuple(lpns[index : index + large.slots])))
-            index += large.slots
-        remainder = lpns[index:]
+        full = len(lpns) - len(lpns) % slots
+        groups = [
+            WriteGroup(large, tuple(lpns[index : index + slots]))
+            for index in range(0, full, slots)
+        ]
+        remainder = lpns[full:]
         if remainder:
             if self.hybrid:
                 # HPS: the odd tail goes to small pages -- no padding.
                 groups.extend(WriteGroup(self.smallest, (lpn,)) for lpn in remainder)
             else:
                 # Pure large-page device: pad the last page.
-                padded = tuple(remainder) + (None,) * (large.slots - len(remainder))
+                padded = tuple(remainder) + (None,) * (slots - len(remainder))
                 groups.append(WriteGroup(large, padded))
         return groups
 

@@ -1,12 +1,12 @@
-"""Unified metric-kernel layer: one definition per statistic, three engines.
+"""Unified metric layer: one definition per statistic, three engines.
 
 Every statistic the paper reports -- the Table III/IV rows, the
 Figs. 4-6 histograms, the localities, the trace-derived Fig. 3 curve --
 is declared exactly once as a :class:`~repro.metrics.base.Metric`: a
-vectorized ``batch`` kernel plus a mergeable streaming state whose
-``finalize`` is bit-identical to ``batch`` under any chunking and any
-contiguous shard split (see :mod:`repro.metrics.base` for the contract
-and :mod:`repro.metrics.reductions` for the float-fold machinery).
+mergeable streaming state whose ``finalize`` is bit-identical under any
+chunking and any contiguous shard split, so the batch engine is simply
+the one-chunk fold (see :mod:`repro.metrics.base` for the contract and
+:mod:`repro.metrics.reductions` for the float-fold machinery).
 
 :mod:`repro.analysis` (whole-trace convenience functions) is a thin
 adapter over this package; the registry (:mod:`repro.metrics.registry`)
@@ -14,7 +14,7 @@ is the single namespace every engine -- the CLI, the out-of-core store
 path, the parallel experiment runner -- resolves metrics from.
 """
 
-from .base import ENGINES, Metric, MetricState
+from .base import ENGINES, Metric
 from .driver import MetricSetState, batch_values, fold_chunks
 from .histograms import (
     HistogramState,
@@ -69,7 +69,6 @@ from .timing import (
 __all__ = [
     "ENGINES",
     "Metric",
-    "MetricState",
     "MetricSetState",
     "batch_values",
     "fold_chunks",

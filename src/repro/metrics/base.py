@@ -1,11 +1,11 @@
-"""The :class:`Metric` abstraction: one statistic, three execution engines.
+"""The :class:`Metric` abstraction: one statistic, one streaming state.
 
 A metric is declared **once** -- its name, the value it finalizes to,
-the cross-chunk carry state its streaming form needs -- and every way of
-executing it derives from that single definition:
+and the mergeable streaming state that computes that value chunk by
+chunk -- and every way of executing it drives that one state:
 
-* **batch**: ``metric.batch(columns)`` runs the vectorized whole-array
-  kernel over an in-memory :class:`~repro.trace.TraceColumns` view.
+* **batch**: ``metric.batch(columns)`` folds one in-memory
+  :class:`~repro.trace.TraceColumns` view as a single chunk.
 * **sharded**: ``metric.init()`` (deferred float state) per shard,
   ``metric.update(state, chunk)`` in stream order within each shard,
   ``metric.merge(left, right)`` across adjacent shards in any tree
@@ -23,7 +23,9 @@ shard split.  Integer state splits trivially; float folds go through
 :class:`~repro.metrics.reductions.OrderedSum`; everything the stream
 order feeds across a chunk boundary (previous arrival, previous
 ``end_lba``, the distinct-LBA set) is named in ``carry_fields`` and
-carried explicitly by the state object.
+carried explicitly by the state object.  The independent reference for
+the values themselves is the scalar request loops in
+``tests/analysis/oracles.py``.
 """
 
 from __future__ import annotations
@@ -37,24 +39,12 @@ from repro.trace import TraceColumns
 ENGINES: Tuple[str, ...] = ("batch", "sharded", "out-of-core")
 
 
-class MetricState:
-    """Protocol of a streaming metric state (duck-typed, not enforced).
-
-    ``update(chunk)`` folds the next :class:`~repro.trace.TraceColumns`
-    chunk in (stream order); ``merge(other)`` absorbs the state of the
-    stream segment that immediately follows this one.
-    """
-
-    __slots__ = ()
-
-
 class Metric(ABC):
-    """One statistic: a vectorized batch kernel plus its mergeable state.
+    """One statistic: a mergeable streaming state and its final value.
 
-    Subclasses set the declarative attributes and implement
-    :meth:`batch`, :meth:`init` and :meth:`finalize`; ``update`` and
-    ``merge`` delegate to the state object, so one state class serves
-    both the sharded and the out-of-core engine.
+    Subclasses set the declarative attributes and implement :meth:`init`
+    and :meth:`finalize`; ``update`` and ``merge`` delegate to the state
+    object, so one state class serves every engine.
     """
 
     #: Registry key, e.g. ``"size_stats"``.
@@ -64,14 +54,8 @@ class Metric(ABC):
     #: Names of the cross-chunk carry state (empty: order-insensitive
     #: integer state that needs no boundary handling).
     carry_fields: Tuple[str, ...] = ()
-    #: Execution engines the definition supports (all of them, today).
-    engines: Tuple[str, ...] = ENGINES
 
     # -- the one definition ---------------------------------------------------
-
-    @abstractmethod
-    def batch(self, columns: TraceColumns, name: str = "") -> Any:
-        """The vectorized whole-array kernel (the batch engine)."""
 
     @abstractmethod
     def init(self, collapse: bool = False) -> Any:
@@ -85,7 +69,7 @@ class Metric(ABC):
 
     @abstractmethod
     def finalize(self, state: Any, name: str = "") -> Any:
-        """The exact value :meth:`batch` returns for the folded stream."""
+        """The metric's value for the stream folded into ``state``."""
 
     # -- generic state plumbing (shared by every metric) ----------------------
 
@@ -100,7 +84,7 @@ class Metric(ABC):
         left.merge(right)
         return left
 
-    # -- the out-of-core engine ------------------------------------------------
+    # -- the out-of-core and batch engines -------------------------------------
 
     def fold(
         self,
@@ -113,6 +97,10 @@ class Metric(ABC):
         for chunk in chunks:
             self.update(state, chunk)
         return self.finalize(state, name)
+
+    def batch(self, columns: TraceColumns, name: str = "") -> Any:
+        """The value over one in-memory column set: the one-chunk fold."""
+        return self.fold([columns], name)
 
     def __deepcopy__(self, memo) -> "Metric":
         """Metric definitions are stateless singletons: states deep-copy

@@ -87,29 +87,37 @@ INTERARRIVAL_BUCKETS_MS: Tuple[Bucket, ...] = _make_buckets(
 )
 
 
+def bucket_counts(values: Sequence[float], buckets: Sequence[Bucket]) -> List[int]:
+    """How many ``values`` fall in each bucket, in bucket order.
+
+    Vectorized: values are bulk-compared against each bucket's edges,
+    first matching bucket wins (exactly like the scalar reference loop
+    in ``tests/analysis/oracles.py``).  Values outside every bucket
+    (impossible for the standard bucket sets, which cover ``(0, inf]``)
+    are not counted.
+    """
+    array = np.asarray(values, dtype=np.float64)
+    remaining = np.ones(array.shape, dtype=bool)
+    counts = []
+    for bucket in buckets:
+        matched = remaining & (bucket.low < array) & (array <= bucket.high)
+        counts.append(int(np.count_nonzero(matched)))
+        remaining &= ~matched
+    return counts
+
+
 def histogram(values: Sequence[float], buckets: Sequence[Bucket]) -> Dict[str, float]:
     """Fraction of ``values`` falling in each bucket, keyed by label.
 
-    Values outside every bucket (impossible for the standard bucket sets,
-    which cover ``(0, inf]``) are ignored.  Returns all-zero fractions for an
-    empty input.
-
-    Vectorized: values are bulk-compared against each bucket's edges
-    (first matching bucket wins, exactly like the scalar reference loop
-    in ``tests/analysis/oracles.py``); counts are exact integers, so the
-    resulting fractions are bit-identical to the per-value loop.
+    Fractions divide exact integer :func:`bucket_counts` by the number of
+    values, so they are bit-identical to the per-value loop; an empty
+    input gives all-zero fractions.
     """
     total = len(values)
     if total == 0:
         return {bucket.label: 0.0 for bucket in buckets}
-    array = np.asarray(values, dtype=np.float64)
-    remaining = np.ones(array.shape, dtype=bool)
-    counts = {bucket.label: 0 for bucket in buckets}
-    for bucket in buckets:
-        matched = remaining & (bucket.low < array) & (array <= bucket.high)
-        counts[bucket.label] += int(np.count_nonzero(matched))
-        remaining &= ~matched
-    return {label: count / total for label, count in counts.items()}
+    counts = bucket_counts(values, buckets)
+    return {bucket.label: count / total for bucket, count in zip(buckets, counts)}
 
 
 def size_histogram(sizes_bytes: Sequence[int]) -> Dict[str, float]:

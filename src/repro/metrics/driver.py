@@ -2,8 +2,8 @@
 
 Everything downstream of the registry is one of three call shapes:
 
-* :func:`batch_values` -- run each metric's vectorized kernel over one
-  in-memory column set (the batch engine);
+* :func:`batch_values` -- each metric's value over one in-memory column
+  set, folded as a single chunk (the batch engine);
 * :class:`MetricSetState` -- one ``update``/``merge``/``finalize`` state
   bundling a metric set, for the sharded and out-of-core engines;
 * :func:`fold_chunks` -- the sequential out-of-core loop in one call.

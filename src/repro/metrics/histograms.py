@@ -1,12 +1,12 @@
 """Bucketed-distribution metrics (Figs. 4/5/6/7, paper bucket edges).
 
-The batch kernels bin a whole value vector with
-:func:`repro.metrics.buckets.histogram` (first matching bucket wins)
-and divide integer counts by the total value count.  The streaming
-states keep exactly those integers per chunk -- bucket membership is an
-element-wise comparison, so chunking cannot change it -- and repeat the
-same final division, making ``finalize()`` bit-identical to the batch
-result on any chunking and any merge tree.
+The states bin each chunk's values with
+:func:`repro.metrics.buckets.bucket_counts` (first matching bucket wins)
+and keep the integer count per bucket -- bucket membership is an
+element-wise comparison, so chunking cannot change it -- and
+``finalize()`` divides the counts by the total value count, exactly
+like :func:`repro.metrics.buckets.histogram`, on any chunking and any
+merge tree.
 
 Only the inter-arrival histogram carries boundary state: the gap that
 straddles two chunks (or two merged shards) is computed from the carried
@@ -25,7 +25,7 @@ from repro.metrics.buckets import (
     INTERARRIVAL_BUCKETS_MS,
     RESPONSE_BUCKETS_MS,
     SIZE_BUCKETS,
-    histogram,
+    bucket_counts,
 )
 
 from .base import Metric
@@ -51,11 +51,8 @@ class HistogramState:
         if array.size == 0:
             return
         self.total += int(array.size)
-        remaining = np.ones(array.shape, dtype=bool)
-        for bucket in self.buckets:
-            matched = remaining & (bucket.low < array) & (array <= bucket.high)
-            self.counts[bucket.label] += int(np.count_nonzero(matched))
-            remaining &= ~matched
+        for bucket, count in zip(self.buckets, bucket_counts(array, self.buckets)):
+            self.counts[bucket.label] += count
 
     def merge(self, other: "HistogramState") -> None:
         """Absorb another summary over the same bucket set."""
@@ -66,7 +63,7 @@ class HistogramState:
         self.total += other.total
 
     def finalize(self) -> Dict[str, float]:
-        """Per-bucket fractions, exactly like the batch ``histogram()``."""
+        """Per-bucket fractions, exactly like :func:`~repro.metrics.buckets.histogram`."""
         if self.total == 0:
             return {label: 0.0 for label in self.counts}
         return {label: count / self.total for label, count in self.counts.items()}
@@ -152,10 +149,6 @@ class SizeDistributionMetric(Metric):
     value_doc = "{bucket label: fraction} over SIZE_BUCKETS (Fig. 4/7a)"
     carry_fields = ()  # element-wise binning: order-insensitive
 
-    def batch(self, columns: TraceColumns, name: str = "") -> Dict[str, float]:
-        del name
-        return histogram(columns.size, SIZE_BUCKETS)
-
     def init(self, collapse: bool = False) -> SizeHistogramState:
         del collapse  # integer counts: one state form serves both engines
         return SizeHistogramState()
@@ -171,11 +164,6 @@ class ResponseDistributionMetric(Metric):
     name = "response_distribution"
     value_doc = "{bucket label: fraction} over RESPONSE_BUCKETS_MS (Fig. 5/7b)"
     carry_fields = ()
-
-    def batch(self, columns: TraceColumns, name: str = "") -> Dict[str, float]:
-        del name
-        values = columns.response_us[columns.completed_mask] / US_PER_MS
-        return histogram(values, RESPONSE_BUCKETS_MS)
 
     def init(self, collapse: bool = False) -> ResponseHistogramState:
         del collapse
@@ -194,10 +182,6 @@ class InterarrivalDistributionMetric(Metric):
     name = "interarrival_distribution"
     value_doc = "{bucket label: fraction} over INTERARRIVAL_BUCKETS_MS (Fig. 6/7c)"
     carry_fields = ("first_arrival_us", "last_arrival_us")
-
-    def batch(self, columns: TraceColumns, name: str = "") -> Dict[str, float]:
-        del name
-        return histogram(columns.inter_arrival_us / US_PER_MS, INTERARRIVAL_BUCKETS_MS)
 
     def init(self, collapse: bool = False) -> InterarrivalHistogramState:
         del collapse

@@ -8,10 +8,10 @@
   number of requests, where the hit count "is increased by one when an
   address is re-accessed."
 
-Both are integer counts over the LBA column, so the batch kernels
-(shifted-array equality for spatial, ``np.unique`` for temporal) and the
-streaming states are exactly -- not approximately -- equal under any
-chunking and any merge tree.  The only subtlety is the carry state:
+Both are integer counts over the LBA column (shifted-array equality for
+spatial, a sorted distinct set for temporal), so the streaming states
+are exact -- not approximately equal -- under any chunking and any merge
+tree.  The only subtlety is the carry state:
 
 * spatial locality compares each request's start address with its
   *predecessor's* end address, so the state carries the previous chunk's
@@ -93,7 +93,7 @@ class SpatialLocalityState:
         self.total += other.total
 
     def finalize(self) -> float:
-        """Fraction of sequential accesses, same division as the batch engine."""
+        """Fraction of sequential accesses."""
         if self.total == 0:
             return 0.0
         return self.sequential / self.total
@@ -127,7 +127,7 @@ class TemporalLocalityState:
         return int(self._distinct.size)
 
     def finalize(self) -> float:
-        """Fraction of re-hits ``(n - #distinct) / n``, like the batch engine."""
+        """Fraction of re-hits ``(n - #distinct) / n``."""
         if self.total == 0:
             return 0.0
         return (self.total - self.distinct) / self.total
@@ -151,7 +151,7 @@ class LocalitiesState:
         self.temporal.merge(other.temporal)
 
     def finalize(self) -> Localities:
-        """The exact :class:`Localities` object the batch engine returns."""
+        """Both fractions in one :class:`Localities`."""
         return Localities(
             spatial=self.spatial.finalize(), temporal=self.temporal.finalize()
         )
@@ -163,15 +163,6 @@ class SpatialLocalityMetric(Metric):
     name = "spatial_locality"
     value_doc = "float fraction of sequential accesses (Table IV SpatLoc)"
     carry_fields = ("first_lba", "last_end_lba")
-
-    def batch(self, columns: TraceColumns, name: str = "") -> float:
-        del name  # a plain fraction carries no trace name
-        total = len(columns)
-        if total == 0:
-            return 0.0
-        lba, size = columns.lba, columns.size
-        sequential = int(np.count_nonzero(lba[1:] == lba[:-1] + size[:-1]))
-        return sequential / total
 
     def init(self, collapse: bool = False) -> SpatialLocalityState:
         del collapse  # integer counts: one state form serves both engines
@@ -186,21 +177,13 @@ class TemporalLocalityMetric(Metric):
     """Fraction of requests whose start address was accessed before.
 
     The first occurrence of each distinct address is a miss and every
-    re-occurrence a hit, so ``hits = n - #distinct`` -- one ``np.unique``
-    instead of a per-request set walk.
+    re-occurrence a hit, so ``hits = n - #distinct`` -- a sorted distinct
+    set instead of a per-request set walk.
     """
 
     name = "temporal_locality"
     value_doc = "float fraction of address re-hits (Table IV TempLoc)"
     carry_fields = ("distinct_lbas",)
-
-    def batch(self, columns: TraceColumns, name: str = "") -> float:
-        del name
-        total = len(columns)
-        if total == 0:
-            return 0.0
-        hits = total - int(np.unique(columns.lba).size)
-        return hits / total
 
     def init(self, collapse: bool = False) -> TemporalLocalityState:
         del collapse
@@ -217,13 +200,6 @@ class LocalitiesMetric(Metric):
     name = "localities"
     value_doc = "Localities(spatial, temporal) fractions in one object"
     carry_fields = ("first_lba", "last_end_lba", "distinct_lbas")
-
-    def batch(self, columns: TraceColumns, name: str = "") -> Localities:
-        del name
-        return Localities(
-            spatial=SPATIAL_LOCALITY.batch(columns),
-            temporal=TEMPORAL_LOCALITY.batch(columns),
-        )
 
     def init(self, collapse: bool = False) -> LocalitiesState:
         del collapse

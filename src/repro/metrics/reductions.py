@@ -1,11 +1,11 @@
-"""Order-preserving float reduction state for the metric kernels.
+"""Order-preserving float reduction state for the metric states.
 
-Bit-identity is the whole game.  The batch kernels reduce float arrays
-with :func:`~repro.trace.sequential_sum` -- a strict left-to-right fold
--- and the experiment digests pin those last-ulp roundings.  A streaming
-metric state must finalize to *exactly* the same bits no matter how the
-request stream was chunked or sharded, which float addition makes
-non-trivial: an already-rounded partial sum of a *mid-stream* segment
+Bit-identity is the whole game.  A metric's float sums are the strict
+left-to-right fold of :func:`~repro.trace.sequential_sum` (the builtin
+``sum`` the scalar oracles use) and the experiment digests pin those
+last-ulp roundings.  A streaming metric state must finalize to *exactly*
+the same bits no matter how the request stream was chunked or sharded,
+which float addition makes non-trivial: an already-rounded partial sum of a *mid-stream* segment
 cannot be merged exactly, because the fold's intermediate roundings
 depend on the running value it started from.
 

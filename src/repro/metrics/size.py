@@ -2,11 +2,8 @@
 
 Every Table III column reduces to integer sums and counts over the
 ``size``/``op`` columns, so the streaming state is a handful of Python
-ints -- exact under any chunking and any merge order -- and the batch
-kernel is the same handful of ``np.sum``/``count_nonzero`` reductions
-over the whole columns.  ``finalize`` and ``batch`` share the final
-scalar divisions verbatim, so the two engines are bit-identical by
-construction.
+ints -- exact under any chunking and any merge order -- and only
+``finalize`` does float arithmetic: the final scalar divisions.
 """
 
 from __future__ import annotations
@@ -33,37 +30,6 @@ class SizeStats:
     avg_write_kib: float
     write_req_pct: float
     write_size_pct: float
-
-
-def _finalize_counts(
-    name: str,
-    total_requests: int,
-    total: int,
-    written: int,
-    num_writes: int,
-    max_size: int,
-) -> SizeStats:
-    """The final per-column divisions, shared by both engines verbatim.
-
-    Averages over an empty class (e.g. a trace with no reads) are
-    reported as 0, mirroring how a column would be blank in the paper's
-    table.
-    """
-    if total_requests == 0:
-        return SizeStats(name, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    num_reads = total_requests - num_writes
-    read_total = total - written
-    return SizeStats(
-        name=name,
-        data_size_kib=total / KIB,
-        num_requests=total_requests,
-        max_size_kib=max_size / KIB,
-        avg_size_kib=total / total_requests / KIB,
-        avg_read_kib=(read_total / num_reads / KIB) if num_reads else 0.0,
-        avg_write_kib=(written / num_writes / KIB) if num_writes else 0.0,
-        write_req_pct=100.0 * num_writes / total_requests,
-        write_size_pct=100.0 * written / total if total else 0.0,
-    )
 
 
 class SizeStatsState:
@@ -101,14 +67,30 @@ class SizeStatsState:
         self.max_size = max(self.max_size, other.max_size)
 
     def finalize(self, name: str) -> SizeStats:
-        """The exact :class:`SizeStats` the batch engine returns."""
-        return _finalize_counts(
-            name,
-            self.total_requests,
-            self.total_bytes,
-            self.written_bytes,
-            self.num_writes,
-            self.max_size,
+        """The final per-column divisions.
+
+        Averages over an empty class (e.g. a trace with no reads) are
+        reported as 0, mirroring how a column would be blank in the
+        paper's table.
+        """
+        total_requests = self.total_requests
+        if total_requests == 0:
+            return SizeStats(name, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        total = self.total_bytes
+        written = self.written_bytes
+        num_writes = self.num_writes
+        num_reads = total_requests - num_writes
+        read_total = total - written
+        return SizeStats(
+            name=name,
+            data_size_kib=total / KIB,
+            num_requests=total_requests,
+            max_size_kib=self.max_size / KIB,
+            avg_size_kib=total / total_requests / KIB,
+            avg_read_kib=(read_total / num_reads / KIB) if num_reads else 0.0,
+            avg_write_kib=(written / num_writes / KIB) if num_writes else 0.0,
+            write_req_pct=100.0 * num_writes / total_requests,
+            write_size_pct=100.0 * written / total if total else 0.0,
         )
 
 
@@ -118,21 +100,6 @@ class SizeStatsMetric(Metric):
     name = "size_stats"
     value_doc = "SizeStats: the Table III columns (sizes, counts, write shares)"
     carry_fields = ()  # integer sums/counts: order-insensitive
-
-    def batch(self, columns: TraceColumns, name: str = "") -> SizeStats:
-        total_requests = len(columns)
-        if total_requests == 0:
-            return _finalize_counts(name, 0, 0, 0, 0, 0)
-        size = columns.size
-        write_mask = columns.write_mask
-        return _finalize_counts(
-            name,
-            total_requests,
-            int(size.sum()),
-            int(size[write_mask].sum()),
-            int(np.count_nonzero(write_mask)),
-            int(size.max()),
-        )
 
     def init(self, collapse: bool = False) -> SizeStatsState:
         del collapse  # no float folds: one state form serves both engines

@@ -1,12 +1,12 @@
 """Per-size average access rate metric (the trace-derived Fig. 3).
 
-The batch kernel concatenates the eligible requests' sizes and ``size /
-response`` rates in stream order and reduces each size class with
-:func:`~repro.trace.sequential_sum`.  The streaming state keeps one
-:class:`~repro.metrics.reductions.OrderedSum` per size class; because
-chunking preserves stream order and each class's values land in its sum
-in that same order, ``finalize()`` reproduces the batch per-size means
-bit for bit.
+The state keeps one :class:`~repro.metrics.reductions.OrderedSum` of
+the eligible requests' ``size / response`` rates per size class.
+Chunking preserves stream order and each class's rates land in its sum
+in that same order, so every per-size mean is the in-order
+:func:`~repro.trace.sequential_sum` of the class's rates, bit for bit,
+under any chunking.  Several traces pool (the paper's Fig. 3 averages
+over all 18) by folding their columns one after another.
 
 The device-side Fig. 3 measurement (sweeping synthetic back-to-back
 requests on an :class:`~repro.emmc.device.EmmcDevice`) is *not* a trace
@@ -15,11 +15,11 @@ metric and stays in :mod:`repro.analysis.throughput`.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
-from repro.trace import Op, OP_WRITE, TraceColumns, sequential_sum
+from repro.trace import Op, OP_WRITE, TraceColumns
 
 from .base import Metric
 from .reductions import OrderedSum
@@ -47,8 +47,7 @@ class ThroughputBySizeState:
             return
         response = chunk.response_us
         # NaN response times (incomplete requests) are excluded by the
-        # completed mask; silence the comparison warning like the batch
-        # kernel does.
+        # completed mask; silence the comparison warning.
         with np.errstate(invalid="ignore"):
             eligible = (
                 (chunk.op == self.op_code) & chunk.completed_mask & (response > 0)
@@ -75,7 +74,7 @@ class ThroughputBySizeState:
             mine.merge(ordered)
 
     def finalize(self) -> Dict[int, float]:
-        """Per-size mean rates (MB/s), exactly like the batch kernel."""
+        """Per-size mean rates (MB/s), in ascending size order."""
         return {
             size: self._sums[size].total() / self._sums[size].count
             for size in sorted(self._sums)
@@ -97,40 +96,6 @@ class ThroughputBySizeMetric(Metric):
         self.op = op
         suffix = "write" if op is Op.WRITE else "read"
         self.name = f"throughput_by_size_{suffix}"
-
-    def batch(self, columns: TraceColumns, name: str = "") -> Dict[int, float]:
-        del name
-        return self.batch_traces([columns])
-
-    def batch_traces(self, columns_list) -> Dict[int, float]:
-        """The multi-stream batch kernel (the paper pools all 18 traces).
-
-        Sizes/rates of the eligible requests are concatenated in stream
-        order, then each size class is reduced with an in-order
-        :func:`~repro.trace.sequential_sum` -- exactly the accumulation
-        order the scalar reference dict loop performs, so the per-size
-        means are bit-identical.
-        """
-        op_code = OP_WRITE if self.op is Op.WRITE else 0
-        size_chunks: List[np.ndarray] = []
-        rate_chunks: List[np.ndarray] = []
-        for columns in columns_list:
-            response = columns.response_us
-            with np.errstate(invalid="ignore"):
-                eligible = (
-                    (columns.op == op_code) & columns.completed_mask & (response > 0)
-                )
-            size_chunks.append(columns.size[eligible])
-            rate_chunks.append(columns.size[eligible] / response[eligible])
-        if not size_chunks:
-            return {}
-        sizes = np.concatenate(size_chunks)
-        rates = np.concatenate(rate_chunks)
-        result: Dict[int, float] = {}
-        for size in np.unique(sizes):
-            group = rates[sizes == size]
-            result[int(size)] = sequential_sum(group) / int(group.size)
-        return result
 
     def init(self, collapse: bool = False) -> ThroughputBySizeState:
         return ThroughputBySizeState(self.op, collapse=collapse)

@@ -1,7 +1,7 @@
 """The Table IV (timing-related) metric: one definition, every engine.
 
 The streaming state folds one trace's request stream, chunk by chunk,
-into exactly the :class:`TimingStats` the batch kernel produces:
+into its :class:`TimingStats`:
 
 * integer state (request/completed/no-wait counts, byte totals,
   localities) is exact in any order;
@@ -9,14 +9,14 @@ into exactly the :class:`TimingStats` the batch kernel produces:
   distinct-LBA set) crosses chunk and shard boundaries explicitly;
 * float reductions (inter-arrival gaps, service and response times) run
   through :class:`~repro.metrics.reductions.OrderedSum`, so the means
-  reproduce the batch kernel's left-to-right ``sequential_sum`` bit for
-  bit -- including the chunk-crossing arrival gap, which is folded in at
-  exactly its stream position.
+  are the whole stream's left-to-right ``sequential_sum`` bit for bit
+  under any chunking -- including the chunk-crossing arrival gap, which
+  is folded in at exactly its stream position.
 
-``finalize`` and ``batch`` share the scalar expressions verbatim
-(guards, division order, the ``* 100.0`` placements), because with IEEE
-floats ``(100.0 * a) / b`` and ``100.0 * (a / b)`` are different
-roundings.
+``finalize`` keeps the scalar expressions of the paper's definitions
+(guards, division order, the ``* 100.0`` placements) that the scalar
+oracles in ``tests/analysis/oracles.py`` use, because with IEEE floats
+``(100.0 * a) / b`` and ``100.0 * (a / b)`` are different roundings.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.trace import TraceColumns, US_PER_MS, US_PER_S, sequential_sum
+from repro.trace import TraceColumns, US_PER_MS, US_PER_S
 
 from .base import Metric
-from .locality import LocalitiesState, LOCALITIES
+from .locality import LocalitiesState
 from .reductions import OrderedSum
 
 #: The ``Request.no_wait`` tolerance (absorbs event-engine round-off).
@@ -76,7 +76,7 @@ class NoWaitState:
         self.no_wait += other.no_wait
 
     def finalize(self) -> float:
-        """No-wait percentage, exactly as the batch kernel divides it."""
+        """No-wait percentage of the completed requests."""
         if not self.completed:
             return 0.0
         return 100.0 * self.no_wait / self.completed
@@ -179,7 +179,7 @@ class TimingStatsState:
         self.total_bytes += other.total_bytes
 
     def finalize(self, name: str) -> TimingStats:
-        """The exact :class:`TimingStats` the batch kernel returns."""
+        """The Table IV row of the folded stream."""
         localities = self.localities.finalize()
         if self.total_requests == 0:
             return TimingStats(name, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -251,66 +251,6 @@ class TimingStatsMetric(Metric):
         "service_sum",
         "response_sum",
     )
-
-    def batch(self, columns: TraceColumns, name: str = "") -> TimingStats:
-        localities = LOCALITIES.batch(columns)
-        gaps = columns.inter_arrival_us
-        mean_gap_ms = (
-            (sequential_sum(gaps) / gaps.size / US_PER_MS) if gaps.size else 0.0
-        )
-        completed_mask = columns.completed_mask
-        num_completed = int(np.count_nonzero(completed_mask))
-        if num_completed:
-            wait = columns.wait_us[completed_mask]
-            nowait = int(np.count_nonzero(wait <= NO_WAIT_TOLERANCE_US))
-            nowait_pct = 100.0 * nowait / num_completed
-            mean_service_ms = (
-                sequential_sum(columns.service_us[completed_mask])
-                / num_completed
-                / US_PER_MS
-            )
-            mean_response_ms = (
-                sequential_sum(columns.response_us[completed_mask])
-                / num_completed
-                / US_PER_MS
-            )
-        else:
-            nowait_pct = mean_service_ms = mean_response_ms = 0.0
-        total_requests = len(columns)
-        if total_requests == 0:
-            duration_s = 0.0
-            arrival_rate = 0.0
-            access_rate_kib_s = 0.0
-        else:
-            arrivals = columns.arrival_us
-            start_us = float(arrivals[0])
-            last_arrival = float(arrivals[-1])
-            if completed_mask.any():
-                end_us = max(
-                    last_arrival, float(columns.complete_us[completed_mask].max())
-                )
-            else:
-                end_us = last_arrival
-            duration_us = end_us - start_us
-            duration_s = duration_us / US_PER_S
-            if duration_us <= 0:
-                arrival_rate = 0.0
-                access_rate_kib_s = 0.0
-            else:
-                arrival_rate = total_requests / duration_s
-                access_rate_kib_s = int(columns.size.sum()) / 1024.0 / duration_s
-        return TimingStats(
-            name=name,
-            duration_s=duration_s,
-            arrival_rate=arrival_rate,
-            access_rate_kib_s=access_rate_kib_s,
-            nowait_pct=nowait_pct,
-            mean_service_ms=mean_service_ms,
-            mean_response_ms=mean_response_ms,
-            spatial_locality_pct=localities.spatial_pct,
-            temporal_locality_pct=localities.temporal_pct,
-            mean_interarrival_ms=mean_gap_ms,
-        )
 
     def init(self, collapse: bool = False) -> TimingStatsState:
         return TimingStatsState(collapse=collapse)

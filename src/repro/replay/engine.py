@@ -36,10 +36,6 @@ class FastPathUnavailable(RuntimeError):
 #: own ``dispatch >= arrival`` / ``finish >= dispatch`` invariants.
 _NEW_REQUEST = Request.__new__
 
-_OFF_MODES = frozenset(("off", "0", "kernel", "false", "no"))
-_ON_MODES = frozenset(("auto", "1", "on", "true", "yes"))
-_REQUIRE_MODES = frozenset(("require", "force"))
-
 
 def _use_fast_path(device, trace=None, first_arrival_us=None) -> bool:
     """Whether to take the fast path: the switch, then the preconditions.
@@ -49,17 +45,17 @@ def _use_fast_path(device, trace=None, first_arrival_us=None) -> bool:
     :func:`~repro.replay.preconditions.decide`; raises
     :class:`FastPathUnavailable` under ``require`` when ineligible.
     """
-    mode = os.environ.get(REPLAY_FASTPATH_ENV, "auto").strip().lower() or "auto"
-    if mode in _OFF_MODES:
+    mode = os.environ.get(REPLAY_FASTPATH_ENV, "").strip().lower() or "auto"
+    if mode == "off":
         return False
-    if mode not in _ON_MODES and mode not in _REQUIRE_MODES:
+    if mode not in ("auto", "require"):
         raise ValueError(
             f"unknown {REPLAY_FASTPATH_ENV}={mode!r}: "
             "expected auto, off, or require"
         )
     decision = decide(device, trace, first_arrival_us=first_arrival_us)
     if not decision.eligible:
-        if mode in _REQUIRE_MODES:
+        if mode == "require":
             raise FastPathUnavailable(
                 f"{REPLAY_FASTPATH_ENV}={mode} but the fast path is "
                 "ineligible: " + "; ".join(decision.reasons)

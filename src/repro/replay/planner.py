@@ -21,7 +21,7 @@ planner re-implementing GC, wear leveling or victim policies.
 
 The slim paths are proven equivalent to the kernel's:
 
-* write groups are emitted in :meth:`RequestDistributor.split_write`
+* write groups are emitted in :meth:`RequestDistributor.pack`
   order (full large groups, then the tail), and planes advance
   round-robin from the allocator cursor -- so the op sequence, the block
   opens (lowest-erase-count pop) and the mapping updates are the ones
@@ -43,7 +43,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.emmc.ftl.mapping import PRELOADED_BLOCK, PhysicalLocation
-from repro.emmc.ops import FlashOpType, WriteGroup
+from repro.emmc.ops import FlashOpType
 from repro.trace import SECTOR
 
 #: ``op_kind`` codes in the plan arrays (order-of-dispatch semantics
@@ -140,6 +140,7 @@ class _Planner:
         self._latency = latency
         self._transfer_memo: Dict[int, float] = {}
         distributor = device.distributor
+        self.distributor = distributor
         self.large = distributor.largest
         self.small = distributor.smallest
         self.hybrid = distributor.hybrid
@@ -291,7 +292,7 @@ class _Planner:
         end = first + pages
         span = slice(first - self.base, end - self.base)  # bitmap indices
 
-        # Op emission, in split_write group order.
+        # Op emission, in RequestDistributor.pack group order.
         self.op_kind.extend([PLAN_PROGRAM] * total_groups)
         self._extend_planes(cursor, total_groups)
         large, small = self.large, self.small
@@ -480,25 +481,7 @@ class _Planner:
     def _fallback_write(self, first: int, pages: int) -> None:
         """GC possible: run the real FTL write for this one request."""
         self.fallback_requests += 1
-        lpns = list(range(first, first + pages))
-        large = self.large
-        L = large.slots
-        if L == 1:
-            groups = [WriteGroup(large, (lpn,)) for lpn in lpns]
-        else:
-            groups = []
-            index = 0
-            while index + L <= pages:
-                groups.append(WriteGroup(large, tuple(lpns[index : index + L])))
-                index += L
-            remainder = lpns[index:]
-            if remainder:
-                if self.hybrid:
-                    groups.extend(WriteGroup(self.small, (lpn,)) for lpn in remainder)
-                else:
-                    padded = tuple(remainder) + (None,) * (L - len(remainder))
-                    groups.append(WriteGroup(large, padded))
-        outcome = self.ftl.write(groups)
+        outcome = self.ftl.write(self.distributor.pack(range(first, first + pages)))
         self.data_bytes_written += outcome.data_bytes
         self.flash_bytes_consumed += outcome.flash_bytes
         self.gc_collections += len(outcome.gc_results)

@@ -16,13 +16,15 @@ from dataclasses import dataclass
 from typing import Tuple
 
 #: Environment switch for the dispatcher (read by
-#: :func:`repro.replay.engine.maybe_fast_replay`):
+#: :func:`repro.replay.engine.maybe_fast_replay`); exactly three values:
 #:
-#: * ``auto`` (default/unset) -- use the fast path when eligible, fall
-#:   back to the event kernel otherwise;
-#: * ``off``/``0``/``kernel`` -- never use the fast path;
-#: * ``require``/``force`` -- raise if the fast path is ineligible
-#:   (parity jobs use this so a silent fallback cannot mask a regression).
+#: * ``auto`` (also unset or empty) -- use the fast path when eligible,
+#:   fall back to the event kernel otherwise;
+#: * ``off`` -- never use the fast path;
+#: * ``require`` -- raise if the fast path is ineligible (parity jobs use
+#:   this so a silent fallback cannot mask a regression).
+#:
+#: Any other value raises ``ValueError``.
 REPLAY_FASTPATH_ENV = "REPRO_REPLAY_FASTPATH"
 
 

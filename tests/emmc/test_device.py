@@ -1,5 +1,7 @@
 """Integration-level tests for the eMMC device model."""
 
+import random
+
 import pytest
 
 from repro.trace import KIB, MIB, Op, Request, Trace
@@ -175,3 +177,20 @@ class TestRamBufferPath:
         assert device.stats.flash_bytes_consumed == 0
         read = device.submit(_req(finish + 1, 0, 4 * KIB, Op.READ))
         assert read.service_us <= device.buffer.hit_latency_us + 1e-6
+
+    @pytest.mark.parametrize("buffer_bytes", [0, 16 * KIB])
+    def test_flushes_account_gc_migrations(self, buffer_bytes):
+        """RAM-buffer flushes program through the same accounting as host
+        writes: every slot GC migrates reaches the device stats."""
+        rng = random.Random(0)
+        # Fill 6,000 of the 8,192 LPNs, then rewrite a 1,500-LPN hot set
+        # at random so GC victims still hold valid pages.
+        lpns = list(range(6000)) + [rng.randrange(1500) for _ in range(6000)]
+        trace = Trace(
+            "hot-set",
+            [_req(index * 1000.0, lpn * 4 * KIB, 4 * KIB) for index, lpn in enumerate(lpns)],
+        )
+        device = EmmcDevice(small_four_ps(ram_buffer_bytes=buffer_bytes))
+        device.replay(trace)
+        assert device.ftl.gc_migrated_slots > 0
+        assert device.stats.gc_migrated_slots == device.ftl.gc_migrated_slots

@@ -7,11 +7,12 @@ metric, on all 25 paper traces, folded at the adversarial chunk sizes
 chunk larger than the stream) must finalize to the exact batch bits.
 Replayed traces additionally exercise the completed-timestamp fields
 (service/response sums, the no-wait ratio), and pooled together they
-exercise the one multi-stream kernel, the Fig. 3 throughput curve.
+exercise the one multi-stream statistic, the Fig. 3 throughput curve.
 """
 
 import pytest
 
+from repro.analysis import trace_throughput_by_size
 from repro.metrics import (
     THROUGHPUT_BY_SIZE_READ,
     THROUGHPUT_BY_SIZE_WRITE,
@@ -22,6 +23,8 @@ from repro.metrics import (
 )
 from repro.workloads import ALL_TRACES, generate_trace
 from repro.workloads.collection import collect
+
+from ..analysis.oracles import _reference_trace_throughput_by_size
 
 #: Per-trace request budget: large enough that every bucket and both ops
 #: appear, small enough that 25 traces x 5 chunkings stay fast.
@@ -56,12 +59,14 @@ def test_all_metrics_all_traces(app):
 
 
 def _assert_pooled_parity(traces):
-    """Fig. 3 pools several traces: ``batch_traces`` over all of them
-    equals one fold across every trace's chunks in order, and equals one
-    deferred shard per trace merged left to right."""
+    """Fig. 3 pools several traces: the pooled value (one chunk per
+    trace, folded in order) equals the scalar oracle, one fold across
+    every trace's chunks in order, and one deferred shard per trace
+    merged left to right."""
     columns_list = [trace.columns() for trace in traces]
     for metric in (THROUGHPUT_BY_SIZE_READ, THROUGHPUT_BY_SIZE_WRITE):
-        expected = metric.batch_traces(columns_list)
+        expected = trace_throughput_by_size(traces, metric.op)
+        assert expected == _reference_trace_throughput_by_size(traces, metric.op)
         folded = metric.fold(
             (chunk for columns in columns_list for chunk in chunked(columns, 37)),
             collapse=True,
@@ -83,7 +88,7 @@ def _assert_pooled_parity(traces):
 )
 def test_all_metrics_replayed_traces(apps):
     """Same contract with completed timestamps (service/response/no-wait);
-    the pooled input checks the multi-stream throughput kernel."""
+    the pooled input checks the multi-stream throughput curve."""
     traces = [collect(app, seed=11, num_requests=200).trace for app in apps]
     if len(traces) == 1:
         _assert_engine_parity(traces[0])

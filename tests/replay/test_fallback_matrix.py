@@ -241,7 +241,9 @@ class TestEnvSwitch:
         assert device.kernel.processed > 0
 
     def test_unknown_mode_is_an_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPLAY_FASTPATH", "sometimes")
-        device = EmmcDevice(small_four_ps())
-        with pytest.raises(ValueError, match="sometimes"):
-            Host(device).replay(_trace())
+        # "force" was an alias of require; only auto, off and require remain.
+        for mode in ("sometimes", "force"):
+            monkeypatch.setenv("REPRO_REPLAY_FASTPATH", mode)
+            device = EmmcDevice(small_four_ps())
+            with pytest.raises(ValueError, match=mode):
+                Host(device).replay(_trace())
