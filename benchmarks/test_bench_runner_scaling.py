@@ -1,9 +1,10 @@
 """Serial vs parallel experiment-engine scaling on the heavy replays.
 
 Records the wall time of the sharded engine at 1 and 2 workers over the
-replay-bound experiments (fig8 + fig9: 36 independent per-trace shards)
-and checks the engine's contracts: identical output at every worker
-count, and telemetry that accounts for the compute honestly.  The
+replay-bound experiments (fig8 + fig9: 18 per-trace replay tasks, each
+shared by both figures' merges) and checks the engine's contracts:
+identical output at every worker count, and telemetry that accounts for
+the compute honestly.  The
 absolute speedup is hardware-dependent (CI containers may pin a single
 core), so the assertion is on correctness and accounting, while the
 printed numbers document the scaling on the machine at hand.

@@ -7,7 +7,7 @@ An entry is addressed by the SHA-256 of a canonical JSON document::
     {
       "experiment_id": ...,
       "params": {"seed": ..., "num_requests": ..., ...},   # spec-filtered
-      "code_fingerprint": sha256(source of the experiment module
+      "code_fingerprint": sha256(source of every module the spec runs
                                  + source of experiments.common),
       "version": repro.__version__,
       "format": CACHE_FORMAT,
@@ -15,10 +15,11 @@ An entry is addressed by the SHA-256 of a canonical JSON document::
 
 ``params`` comes from :meth:`ExperimentSpec.cache_relevant_params`, so a
 seed change never invalidates a seed-independent experiment, while any
-change to the experiment's own code, the shared helpers, the package
-version or the on-disk format changes the key and naturally invalidates
-stale entries (content addressing: old entries are simply never looked up
-again).
+change to the code the experiment runs (the modules of its runner and of
+its shard worker and merge -- fig9 runs fig8's worker), the shared
+helpers, the package version or the on-disk format changes the key and
+naturally invalidates stale entries (content addressing: old entries are
+simply never looked up again).
 
 Storage
 -------
@@ -113,14 +114,20 @@ def _module_source(module_name: str) -> str:
 
 
 def code_fingerprint(spec: ExperimentSpec) -> str:
-    """SHA-256 over the experiment's own code plus the shared helpers.
+    """SHA-256 over the code the experiment runs plus the shared helpers.
 
-    Editing an experiment module (or :mod:`repro.experiments.common`,
-    which every experiment funnels through) changes the fingerprint and
-    therefore the cache key -- the "config hash" leg of invalidation.
+    Covers the sorted, de-duplicated modules of ``spec.runner`` and, for
+    a sharded spec, of its worker and merge, then
+    :mod:`repro.experiments.common` (which every experiment funnels
+    through).  Editing any of them changes the fingerprint and therefore
+    the cache key -- the "config hash" leg of invalidation.
     """
+    functions = [spec.runner]
+    if spec.shards is not None:
+        functions += [spec.shards.worker, spec.shards.merge]
     digest = hashlib.sha256()
-    digest.update(_module_source(spec.runner.__module__).encode("utf-8"))
+    for module_name in sorted({function.__module__ for function in functions}):
+        digest.update(_module_source(module_name).encode("utf-8"))
     digest.update(_module_source(common.__name__).encode("utf-8"))
     return digest.hexdigest()
 

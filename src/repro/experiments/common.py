@@ -166,7 +166,10 @@ def cached_trace(
     (see ``repro-trace store pack``), a store named
     :func:`trace_store_key` is used instead of re-synthesizing; packed
     stores round-trip traces exactly, so results are unchanged either way.
+    The store root is part of the memo key, so a trace memoized before
+    the variable was set or changed is not served after it.
     """
+    root = os.environ.get(TRACE_STORE_ENV) or None
 
     def compute() -> Trace:
         stored = _trace_from_store(name, seed, num_requests)
@@ -174,7 +177,7 @@ def cached_trace(
             return stored
         return generate_trace(name, seed=seed, num_requests=num_requests)
 
-    return _TRACE_CACHE.get_or_compute((name, seed, num_requests), compute)
+    return _TRACE_CACHE.get_or_compute((name, seed, num_requests, root), compute)
 
 
 def cached_collection(

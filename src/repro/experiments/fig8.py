@@ -9,7 +9,11 @@ The per-trace replays are fully independent, so this module is split into
 :func:`replay_app` (one trace on all three schemes -- the parallel shard)
 and :func:`merge` (deterministic reassembly); :func:`run` simply composes
 the two, which is what keeps the ``--jobs N`` output bit-identical to the
-serial path.
+serial path.  Each scheme's one replay yields both readouts the paper
+takes from it: the mean response time reported here and the space
+utilization that :mod:`repro.experiments.fig9` merges from the same
+:func:`replay_app` payloads, so the experiment engine runs each
+(trace, scheme) replay once for both figures.
 """
 
 from __future__ import annotations
@@ -40,31 +44,42 @@ def _configs():
 
 def replay_app(
     app: str, seed: int = DEFAULT_SEED, num_requests: Optional[int] = None
-) -> Dict[str, float]:
-    """MRT of one trace on all three schemes (one independent shard)."""
+) -> Dict[str, Dict[str, float]]:
+    """Replay one trace on all three schemes (one independent shard).
+
+    Returns both readouts of each scheme's single replay:
+    ``{"mrt": {scheme: ms}, "utilization": {scheme: ratio}}``.
+    """
     # Strip timing once and pre-build the columnar view: the three scheme
     # replays then share the same column arrays zero-copy.
     trace = cached_trace(app, seed=seed, num_requests=num_requests).without_timing()
     trace.columns()
-    return {
-        scheme: replay_on(config, trace).stats.mean_response_ms
-        for scheme, config in _configs().items()
-    }
+    mrt: Dict[str, float] = {}
+    utilization: Dict[str, float] = {}
+    for scheme, config in _configs().items():
+        stats = replay_on(config, trace).stats
+        mrt[scheme] = stats.mean_response_ms
+        utilization[scheme] = stats.space_utilization
+    return {"mrt": mrt, "utilization": utilization}
 
 
 def merge(
-    per_app: Dict[str, Dict[str, float]],
+    per_app: Dict[str, Dict[str, Dict[str, float]]],
     seed: int = DEFAULT_SEED,
     num_requests: Optional[int] = None,
 ) -> ExperimentResult:
-    """Assemble the Fig. 8 report from per-app shard payloads."""
+    """Assemble the Fig. 8 report from per-app :func:`replay_app` payloads.
+
+    Reads only the ``"mrt"`` half and copies it: Fig. 9 merges the same
+    payload objects.
+    """
     del seed, num_requests  # assembly is a pure function of the payloads
     ordered = [app for app in INDIVIDUAL_APPS if app in per_app]
     mrt: Dict[str, Dict[str, float]] = {}
     rows = []
     improvements = []
     for app in ordered:
-        per_scheme = per_app[app]
+        per_scheme = dict(per_app[app]["mrt"])
         mrt[app] = per_scheme
         improvement = 1.0 - per_scheme["HPS"] / per_scheme["4PS"]
         improvements.append(improvement)

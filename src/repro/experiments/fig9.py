@@ -4,9 +4,12 @@ Paper headlines: HPS always achieves the same space utilization as 4PS
 (no padding is ever written); against 8PS its best gain is 24.2 % (Music)
 and the average gain is 13.1 %.
 
-Like :mod:`repro.experiments.fig8`, the per-trace replays are independent:
-:func:`replay_app` is the parallel shard and :func:`merge` the
-deterministic reassembly, so sharded output is bit-identical to serial.
+Fig. 9 is a second readout of Fig. 8's replays (Section V-B replays each
+trace once per scheme on a brand-new device): its shard worker is
+:func:`repro.experiments.fig8.replay_app`, and :func:`merge` reads the
+``"utilization"`` half of those payloads.  The experiment engine keys a
+shard unit by its worker and unit, so when both figures run together each
+(trace, scheme) pair replays once and both merges consume the payload.
 """
 
 from __future__ import annotations
@@ -16,51 +19,28 @@ from typing import Dict, List, Optional
 from repro.analysis import render_table
 from repro.workloads import DEFAULT_SEED, FIG9_HPS_VS_8PS, INDIVIDUAL_APPS
 
-from repro.emmc import eight_ps, four_ps, hps
-
-from .common import ExperimentResult, cached_trace, replay_on
+from .common import ExperimentResult
+from .fig8 import replay_app
 from .spec import ExperimentSpec, ShardPlan
 
 
-#: Scheme configs are immutable; build them once per process instead of
-#: once per shard call (devices are still constructed fresh per replay).
-_CONFIGS: Optional[Dict[str, object]] = None
-
-
-def _configs():
-    global _CONFIGS
-    if _CONFIGS is None:
-        _CONFIGS = {"4PS": four_ps(), "8PS": eight_ps(), "HPS": hps()}
-    return _CONFIGS
-
-
-def replay_app(
-    app: str, seed: int = DEFAULT_SEED, num_requests: Optional[int] = None
-) -> Dict[str, float]:
-    """Space utilization of one trace on all three schemes (one shard)."""
-    # Strip timing once and pre-build the columnar view: the three scheme
-    # replays then share the same column arrays zero-copy.
-    trace = cached_trace(app, seed=seed, num_requests=num_requests).without_timing()
-    trace.columns()
-    return {
-        scheme: replay_on(config, trace).stats.space_utilization
-        for scheme, config in _configs().items()
-    }
-
-
 def merge(
-    per_app: Dict[str, Dict[str, float]],
+    per_app: Dict[str, Dict[str, Dict[str, float]]],
     seed: int = DEFAULT_SEED,
     num_requests: Optional[int] = None,
 ) -> ExperimentResult:
-    """Assemble the Fig. 9 report from per-app shard payloads."""
+    """Assemble the Fig. 9 report from per-app ``fig8.replay_app`` payloads.
+
+    Reads only the ``"utilization"`` half and copies it: Fig. 8 merges the
+    same payload objects.
+    """
     del seed, num_requests  # assembly is a pure function of the payloads
     ordered = [app for app in INDIVIDUAL_APPS if app in per_app]
     utilization: Dict[str, Dict[str, float]] = {}
     rows = []
     gains = []
     for app in ordered:
-        per_scheme = per_app[app]
+        per_scheme = dict(per_app[app]["utilization"])
         utilization[app] = per_scheme
         gain = per_scheme["HPS"] / per_scheme["8PS"] - 1.0 if per_scheme["8PS"] else 0.0
         gains.append(gain)

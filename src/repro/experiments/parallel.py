@@ -8,6 +8,14 @@ The engine shards work at two granularities:
   one task per independent unit (device sweep, or one app's replays), so
   a single heavy experiment no longer serializes the tail of the run.
 
+A shard unit is identified by ``(worker, unit)``: by the
+:data:`~repro.experiments.spec.ShardWorker` contract its payload depends
+only on that pair plus ``(seed, num_requests)``.  Within a wave each
+distinct pair runs once, serially or in the pool, and its payload goes to
+every spec that lists it -- fig8 and fig9 share one per-app replay task.
+Its compute and wall time are charged to its first consumer in wave
+order; the others count it in ``shared_units``.
+
 Determinism
 -----------
 Parallel output is bit-identical to serial because nothing about the
@@ -31,16 +39,16 @@ import multiprocessing
 import os
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import registry
 from .cache import CacheStats, NullCache, ResultCache
 from .common import ExperimentResult
-from .spec import COST_CLASSES, ExperimentSpec
+from .spec import COST_CLASSES, ExperimentSpec, ShardWorker
 
 #: One wall measurement from a task: (label, started_s, ended_s, pid).
 #: Endpoints are ``time.perf_counter()`` seconds -- CLOCK_MONOTONIC on
@@ -57,8 +65,9 @@ class ExperimentTelemetry:
     compute_s: float  # summed worker-side compute time (serial-equivalent)
     wall_s: float  # submit-to-merge span as seen by the scheduler
     cache: str  # "hit" | "miss" | "off"
-    shards: int  # parallel shard count (0 = ran as one task)
+    shards: int  # parallel shard count (0 = ran in-process or as one task)
     cost: str
+    shared_units: int = 0  # units served by a task run for another experiment
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -67,6 +76,7 @@ class ExperimentTelemetry:
             "wall_s": round(self.wall_s, 6),
             "cache": self.cache,
             "shards": self.shards,
+            "shared_units": self.shared_units,
             "cost": self.cost,
         }
 
@@ -167,99 +177,109 @@ def _topological_waves(specs: Sequence[ExperimentSpec]) -> List[List[ExperimentS
     return waves
 
 
-#: A wave entry: (result, serial-equivalent seconds, shard count, wall points).
-_Computed = Tuple[ExperimentResult, float, int, List[WallPoint]]
+#: A shard unit's identity (see the module docstring).
+UnitKey = Tuple[ShardWorker, str]
 
 
-def _execute_wave_serial(
-    wave: Sequence[ExperimentSpec],
-    seed: int,
-    num_requests: Optional[int],
-) -> Dict[str, _Computed]:
-    computed: Dict[str, _Computed] = {}
-    for spec in wave:
-        result, duration, wall = _run_whole(spec.experiment_id, seed, num_requests)
-        computed[spec.experiment_id] = (result, duration, 0, [wall])
-    return computed
+@dataclass
+class _Outcome:
+    """One experiment's progress through its wave."""
+
+    spec: ExperimentSpec
+    result: Optional[ExperimentResult] = None
+    compute_s: float = 0.0
+    walls: List[WallPoint] = field(default_factory=list)
+    payloads: Dict[str, object] = field(default_factory=dict)
+    shared_units: int = 0
 
 
-def _execute_wave_parallel(
-    pool: ProcessPoolExecutor,
-    wave: Sequence[ExperimentSpec],
-    seed: int,
-    num_requests: Optional[int],
-) -> Dict[str, _Computed]:
-    whole_futures = {}
-    shard_futures = {}
-    shard_counts: Dict[str, int] = {}
-    for spec in wave:
-        if spec.shards is not None and len(spec.shards.units) > 1:
-            shard_counts[spec.experiment_id] = len(spec.shards.units)
+class _Wave:
+    """One dependency wave as tasks: each whole spec and distinct unit once.
+
+    :attr:`tasks` lists ``(function, args, tag)`` in wave order.  Whoever
+    runs a task -- inline or a pool worker -- hands its return value to
+    :meth:`deliver`, which charges the compute and wall time to the task's
+    first consumer, fans a unit's payload out to every spec that lists it,
+    and merges a sharded spec in this (the parent) process as soon as its
+    last unit is in.
+    """
+
+    def __init__(
+        self,
+        wave: Sequence[ExperimentSpec],
+        seed: int,
+        num_requests: Optional[int],
+    ) -> None:
+        self.seed = seed
+        self.num_requests = num_requests
+        self.outcomes = {spec.experiment_id: _Outcome(spec) for spec in wave}
+        self.consumers: Dict[UnitKey, List[_Outcome]] = {}
+        self.tasks: List[Tuple[Callable, tuple, Union[str, UnitKey]]] = []
+        for spec in wave:
+            outcome = self.outcomes[spec.experiment_id]
+            if spec.shards is None:
+                self.tasks.append((
+                    _run_whole, (spec.experiment_id, seed, num_requests),
+                    spec.experiment_id,
+                ))
+                continue
             for unit in spec.shards.units:
-                future = pool.submit(
-                    _run_shard, spec.experiment_id, unit, seed, num_requests
-                )
-                shard_futures[future] = spec.experiment_id
-        else:
-            whole_futures[pool.submit(
-                _run_whole, spec.experiment_id, seed, num_requests
-            )] = spec.experiment_id
+                key = (spec.shards.worker, unit)
+                if key in self.consumers:
+                    outcome.shared_units += 1
+                else:
+                    self.consumers[key] = []
+                    self.tasks.append((
+                        _run_shard, (spec.experiment_id, unit, seed, num_requests),
+                        key,
+                    ))
+                self.consumers[key].append(outcome)
 
-    payloads: Dict[str, Dict[str, object]] = {
-        experiment_id: {} for experiment_id in shard_counts
-    }
-    compute: Dict[str, float] = {spec.experiment_id: 0.0 for spec in wave}
-    walls: Dict[str, List[WallPoint]] = {spec.experiment_id: [] for spec in wave}
-    computed: Dict[str, _Computed] = {}
-    pending = set(whole_futures) | set(shard_futures)
-    while pending:
-        finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-        for future in finished:
-            if future in whole_futures:
-                experiment_id = whole_futures[future]
-                result, duration, wall = future.result()
-                walls[experiment_id].append(wall)
-                computed[experiment_id] = (result, duration, 0, walls[experiment_id])
-            else:
-                experiment_id = shard_futures[future]
-                unit, payload, duration, wall = future.result()
-                payloads[experiment_id][unit] = payload
-                compute[experiment_id] += duration
-                walls[experiment_id].append(wall)
-                if len(payloads[experiment_id]) == shard_counts[experiment_id]:
-                    # All shards in: merge deterministically in the parent.
-                    spec = registry.get_spec(experiment_id)
-                    merge_started = time.perf_counter()
-                    result = spec.shards.merge(
-                        payloads[experiment_id], seed, num_requests
-                    )
-                    merge_ended = time.perf_counter()
-                    walls[experiment_id].append(
-                        ("merge", merge_started, merge_ended, os.getpid())
-                    )
-                    computed[experiment_id] = (
-                        result,
-                        compute[experiment_id] + (merge_ended - merge_started),
-                        shard_counts[experiment_id],
-                        walls[experiment_id],
-                    )
-    return computed
+    def deliver(self, tag: Union[str, UnitKey], value: tuple) -> None:
+        """Account one finished task and merge every spec it completes."""
+        if isinstance(tag, str):
+            outcome = self.outcomes[tag]
+            outcome.result, duration, wall = value
+            outcome.compute_s += duration
+            outcome.walls.append(wall)
+            return
+        unit, payload, duration, wall = value
+        consumers = self.consumers[tag]
+        consumers[0].compute_s += duration
+        consumers[0].walls.append(wall)
+        for outcome in consumers:
+            outcome.payloads[unit] = payload
+            if len(outcome.payloads) == len(outcome.spec.shards.units):
+                self._merge(outcome)
+
+    def _merge(self, outcome: _Outcome) -> None:
+        started = time.perf_counter()
+        outcome.result = outcome.spec.shards.merge(
+            outcome.payloads, self.seed, self.num_requests
+        )
+        ended = time.perf_counter()
+        outcome.compute_s += ended - started
+        outcome.walls.append(("merge", started, ended, os.getpid()))
+
+
+#: Span category per wall label; every other label is a shard unit.
+_SPAN_CATEGORIES = {"run": "task", "merge": "merge"}
 
 
 def _emit_wall_spans(
     sink,
     spec: ExperimentSpec,
     walls: Sequence[WallPoint],
-    shards: int,
     origin_s: float,
 ) -> None:
     """Record one experiment's wall-clock spans on the runner's sink.
 
     The experiment gets a parent span on the ``experiments`` track
-    covering first-start to last-end; each task (shard, whole run,
-    merge) becomes a child span on a per-worker ``worker-PID`` track.
-    Wall spans are real time -- deliberately outside the byte-identity
-    contract sim-time spans live under.
+    covering first-start to last-end; each task it ran (whole run, shard,
+    merge) becomes a child span on a per-worker ``worker-PID`` track.  A
+    shared shard task appears once, under its first consumer.  Wall spans
+    are real time -- deliberately outside the byte-identity contract
+    sim-time spans live under.
     """
     if not walls:
         return
@@ -272,17 +292,10 @@ def _emit_wall_spans(
         track="experiments",
         origin_s=origin_s,
     )
-    if shards == 0 and len(ordered) == 1:
-        label, started, ended, pid = ordered[0]
-        sink.add_wall_span(
-            f"{spec.experiment_id}:{label}", started, ended,
-            cat="task", track=f"worker-{pid}", parent=parent, origin_s=origin_s,
-        )
-        return
     for label, started, ended, pid in ordered:
         sink.add_wall_span(
             f"{spec.experiment_id}:{label}", started, ended,
-            cat="merge" if label == "merge" else "shard",
+            cat=_SPAN_CATEGORIES.get(label, "shard"),
             track=f"worker-{pid}", parent=parent, origin_s=origin_s,
         )
 
@@ -298,8 +311,10 @@ def execute(
     """Run ``ids`` (default: everything) and return results + telemetry.
 
     ``jobs=1`` runs in-process with no pool; ``jobs>1`` shards across a
-    ``ProcessPoolExecutor``.  Either way the results are bit-identical and
-    ordered by selection (paper) order.  ``cache=None`` disables caching.
+    ``ProcessPoolExecutor``.  Either way a sharded experiment runs as its
+    units plus ``merge``, each distinct ``(worker, unit)`` of a wave runs
+    once, and the results are bit-identical and ordered by selection
+    (paper) order.  ``cache=None`` disables caching.
 
     ``wall_sink`` is an optional :class:`repro.telemetry.Telemetry`
     recording the run's wall-clock shape: one span per experiment, one
@@ -351,29 +366,39 @@ def execute(
                     initializer=_worker_init,
                     initargs=(seed,),
                 )
-            for wave in waves:
+            for specs_in_wave in waves:
                 wave_started = time.perf_counter()
+                wave = _Wave(specs_in_wave, seed, num_requests)
                 if pool is None:
-                    computed = _execute_wave_serial(wave, seed, num_requests)
+                    for function, args, tag in wave.tasks:
+                        wave.deliver(tag, function(*args))
                 else:
-                    computed = _execute_wave_parallel(pool, wave, seed, num_requests)
+                    futures = {
+                        pool.submit(function, *args): tag
+                        for function, args, tag in wave.tasks
+                    }
+                    for future in as_completed(futures):
+                        wave.deliver(futures[future], future.result())
                 wave_wall = time.perf_counter() - wave_started
-                for spec in wave:
-                    result, compute_s, shards, walls = computed[spec.experiment_id]
+                for spec in specs_in_wave:
+                    outcome = wave.outcomes[spec.experiment_id]
                     if wall_sink is not None:
-                        _emit_wall_spans(
-                            wall_sink, spec, walls, shards, run_started
-                        )
-                    results_by_id[spec.experiment_id] = result
+                        _emit_wall_spans(wall_sink, spec, outcome.walls, run_started)
+                    results_by_id[spec.experiment_id] = outcome.result
                     telemetry_by_id[spec.experiment_id] = ExperimentTelemetry(
                         experiment_id=spec.experiment_id,
-                        compute_s=compute_s,
-                        wall_s=compute_s if pool is None else wave_wall,
+                        compute_s=outcome.compute_s,
+                        wall_s=outcome.compute_s if pool is None else wave_wall,
                         cache="miss" if cache.enabled else "off",
-                        shards=shards,
+                        shards=(
+                            len(spec.shards.units)
+                            if pool is not None and spec.shards is not None
+                            else 0
+                        ),
                         cost=spec.cost,
+                        shared_units=outcome.shared_units,
                     )
-                    cache.store(spec, seed, num_requests, result)
+                    cache.store(spec, seed, num_requests, outcome.result)
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)

@@ -224,11 +224,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     for result, telemetry in zip(summary.results, summary.telemetry):
         rendered = result.render()
         print(rendered)
-        suffix = ""
-        if telemetry.cache == "hit":
-            suffix = ", cache hit"
-        elif telemetry.shards:
-            suffix = f", {telemetry.shards} shards"
+        suffix = ", cache hit" if telemetry.cache == "hit" else ""
+        if telemetry.shards:
+            suffix += f", {telemetry.shards} shards"
+        if telemetry.shared_units:
+            suffix += f", {telemetry.shared_units} units shared"
         print(
             f"[{result.experiment_id} finished in {telemetry.compute_s:.1f}s"
             f"{suffix}]\n"

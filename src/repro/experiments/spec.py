@@ -30,6 +30,9 @@ COST_CLASSES = ("heavy", "medium", "light")
 Runner = Callable[[int, Optional[int]], ExperimentResult]
 
 #: ``(unit, seed, num_requests) -> payload`` -- one independent shard.
+#: The payload depends only on ``(worker, unit)`` and ``(seed,
+#: num_requests)``, so the engine runs a ``(worker, unit)`` pair that
+#: several specs list once per wave and hands every spec the same payload.
 ShardWorker = Callable[[str, int, Optional[int]], object]
 
 #: ``(payloads_by_unit, seed, num_requests) -> ExperimentResult`` --
@@ -45,7 +48,8 @@ class ShardPlan:
     ``worker`` computes one unit's payload and ``merge`` reassembles the
     full :class:`ExperimentResult` from all payloads.  ``merge`` must be a
     pure function of the payloads so that sharded output is bit-identical
-    to the unsharded ``run()``.
+    to the unsharded ``run()``, and must not mutate them: plans that name
+    the same worker share payload objects.
     """
 
     units: Tuple[str, ...]

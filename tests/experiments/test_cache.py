@@ -29,15 +29,26 @@ def cache(tmp_path):
 
 @pytest.fixture
 def compute_spy(monkeypatch):
-    """Count real experiment computations inside the engine."""
+    """Count real experiment computations inside the engine.
+
+    A whole experiment counts when it runs; a sharded one, which runs as
+    its units plus ``merge``, counts once, when its first unit runs.
+    """
     calls = []
-    original = parallel._run_whole
+    run_whole = parallel._run_whole
+    run_shard = parallel._run_shard
 
-    def spy(experiment_id, seed, num_requests):
+    def whole_spy(experiment_id, seed, num_requests):
         calls.append(experiment_id)
-        return original(experiment_id, seed, num_requests)
+        return run_whole(experiment_id, seed, num_requests)
 
-    monkeypatch.setattr(parallel, "_run_whole", spy)
+    def shard_spy(experiment_id, unit, seed, num_requests):
+        if unit == REGISTRY[experiment_id].shards.units[0]:
+            calls.append(experiment_id)
+        return run_shard(experiment_id, unit, seed, num_requests)
+
+    monkeypatch.setattr(parallel, "_run_whole", whole_spy)
+    monkeypatch.setattr(parallel, "_run_shard", shard_spy)
     return calls
 
 
@@ -109,6 +120,24 @@ class TestInvalidation:
         spec = REGISTRY["overhead"]  # declared uses_seed=False
         assert cache_key(spec, 1, N) == cache_key(spec, 2, N)
         assert cache_key(spec, 1, N) != cache_key(spec, 1, None)
+
+    def test_fingerprint_covers_the_shard_worker_module(self, monkeypatch):
+        # fig9 runs fig8's worker, so an edit to fig8 must invalidate both.
+        from repro.experiments import cache as cache_module
+
+        ids = ("fig8", "fig9", "fig4")
+        before = {eid: cache_key(REGISTRY[eid], SEED, N) for eid in ids}
+        source = cache_module._module_source
+
+        def edited(module_name):
+            text = source(module_name)
+            return text + "# edited\n" if module_name == "repro.experiments.fig8" else text
+
+        monkeypatch.setattr(cache_module, "_module_source", edited)
+        after = {eid: cache_key(REGISTRY[eid], SEED, N) for eid in ids}
+        assert after["fig8"] != before["fig8"]
+        assert after["fig9"] != before["fig9"]
+        assert after["fig4"] == before["fig4"]
 
     def test_fingerprint_covers_common_helpers(self):
         spec = REGISTRY["fig4"]

@@ -156,6 +156,26 @@ class TestTraceStoreSourcing:
         assert list(sourced) == list(expected)
         common.clear_experiment_caches()
 
+    def test_setting_the_store_root_bypasses_an_earlier_memo(
+        self, tmp_path, monkeypatch
+    ):
+        # A different trace packed under the Email-s21-n80 key tells the
+        # store's trace apart from the synthesized one.  No cache clears.
+        from repro.store import pack
+        from repro.workloads import generate_trace
+
+        stored = generate_trace("Email", seed=99, num_requests=80)
+        key = common.trace_store_key("Email", 21, 80)
+        pack(stored, os.path.join(tmp_path, key), chunk_rows=32)
+        monkeypatch.delenv(common.TRACE_STORE_ENV, raising=False)
+        synthesized = common.cached_trace("Email", seed=21, num_requests=80)
+        monkeypatch.setenv(common.TRACE_STORE_ENV, str(tmp_path))
+        sourced = common.cached_trace("Email", seed=21, num_requests=80)
+        assert list(sourced) == list(stored)
+        assert list(sourced) != list(synthesized)
+        monkeypatch.delenv(common.TRACE_STORE_ENV)
+        assert common.cached_trace("Email", seed=21, num_requests=80) is synthesized
+
     def test_missing_store_falls_back_to_synthesis(self, tmp_path, monkeypatch):
         monkeypatch.setenv(common.TRACE_STORE_ENV, str(tmp_path))
         common.clear_experiment_caches()
