@@ -106,7 +106,7 @@ def test_ablation_wear_leveling_implication_4(benchmark):
         for i in range(4000):
             done = device.submit(Request(at, (i % 40) * 4 * KIB, 4 * KIB, Op.WRITE))
             at = done.finish_us
-        return collect_wear(device.ftl.planes)
+        return collect_wear(device.ftl.pools)
 
     wear = run_once(benchmark, hammer)
     print(
@@ -204,7 +204,7 @@ def test_ablation_static_wear_leveling(benchmark):
                 Request(at, (40 + i % 8) * 4 * KIB, 4 * KIB, Op.WRITE)
             )
             at = done.finish_us
-        return collect_wear(device.ftl.planes)
+        return collect_wear(device.ftl.pools)
 
     def run_both():
         return hammer(None), hammer(6)

@@ -108,11 +108,23 @@ class DeviceConfig:
 
 @dataclass
 class ReplayResult:
-    """A completed replay: the trace with device timestamps plus counters."""
+    """A completed replay: the trace with device timestamps plus counters.
+
+    ``engine`` names what served the replay: ``"kernel"`` (the event
+    loop) or ``"fast"`` (the two-pass fast path, :mod:`repro.replay`).
+    On the fast path the planner's decision counts follow: requests it
+    planned arithmetically (``slim_writes``, ``slim_reads``) and those
+    it handed to the real FTL (``fallback_requests``); they sum to the
+    trace length.  The kernel reports zeros.
+    """
 
     trace: Trace
     stats: DeviceStats
     config_name: str
+    engine: str = "kernel"
+    slim_writes: int = 0
+    slim_reads: int = 0
+    fallback_requests: int = 0
 
 
 @dataclass(frozen=True)
@@ -246,9 +258,9 @@ class EmmcDevice:
             f"{self.stats.erases} erases, "
             f"{self.stats.gc_collections} foreground GC",
         ]
-        planes = getattr(self.ftl, "planes", None)
-        if planes is not None:
-            wear = collect_wear(planes)
+        pools = getattr(self.ftl, "pools", None)
+        if pools is not None:
+            wear = collect_wear(pools)
             lines.append(
                 f"  wear: mean {wear.mean_erase:.2f} cycles/block, "
                 f"spread {wear.spread}"

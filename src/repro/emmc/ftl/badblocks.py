@@ -27,12 +27,10 @@ retrying migrations internally until they stick).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from ..geometry import PageKind
-from ..ops import FlashOp, FlashOpType
-from .blocks import Block, Plane
-from .mapping import PageMapping, PhysicalLocation
+from ..ops import FlashOp
+from .blocks import Pool
 
 
 class BadBlockManager:
@@ -45,25 +43,18 @@ class BadBlockManager:
 
     def __init__(self, spare_blocks_per_plane: int) -> None:
         self.spare_blocks_per_plane = spare_blocks_per_plane
-        self._spares_used: Dict[Tuple[int, PageKind], int] = {}
+        #: Spares consumed, by pool index.
+        self._spares_used: Dict[int, int] = {}
         #: Counters mirrored into :class:`repro.emmc.stats.DeviceStats`.
         self.retired = 0
         self.spares_consumed = 0
         self.migrated_slots = 0
 
-    def spares_remaining(self, plane: Plane, kind: PageKind) -> int:
-        """Spare blocks still available for this (plane, kind) pool."""
-        used = self._spares_used.get((plane.plane_id, kind), 0)
-        return self.spare_blocks_per_plane - used
+    def spares_remaining(self, pool: Pool) -> int:
+        """Spare blocks still available for ``pool``."""
+        return self.spare_blocks_per_plane - self._spares_used.get(pool.index, 0)
 
-    def retire(
-        self,
-        plane: Plane,
-        kind: PageKind,
-        victim: Block,
-        allocator,
-        mapping: PageMapping,
-    ) -> List[FlashOp]:
+    def retire(self, pool: Pool, victim: int, ftl) -> List[FlashOp]:
         """Swap in a spare, migrate ``victim``'s valid data, mark it bad.
 
         Returns the flash ops of the remap migration (reads + programs of
@@ -74,50 +65,22 @@ class BadBlockManager:
         # package on the path (the dependency only exists at fault time).
         from repro.faults.plan import SparePoolExhausted
 
-        key = (plane.plane_id, kind)
-        if self.spares_remaining(plane, kind) <= 0:
+        if self.spares_remaining(pool) <= 0:
             raise SparePoolExhausted(
-                f"plane {plane.plane_id} exhausted its {self.spare_blocks_per_plane} "
-                f"spare {kind} blocks"
+                f"plane {pool.plane} exhausted its {self.spare_blocks_per_plane} "
+                f"spare {pool.kind} blocks"
             )
-        self._spares_used[key] = self._spares_used.get(key, 0) + 1
+        self._spares_used[pool.index] = self._spares_used.get(pool.index, 0) + 1
         self.spares_consumed += 1
-        plane.add_spare_block(kind)
+        pool.add_spare()
 
         # The victim may be the active block (a program just failed on
         # it); detach it so migration never allocates into it.
-        if plane.active_block[kind] == victim.block_id:
-            plane.active_block[kind] = None
+        if pool.active == victim:
+            pool.active = None
 
-        ops: List[FlashOp] = []
-        entries = victim.valid_entries()
-        pages_with_valid = sorted({page for page, _, _ in entries})
-        slot_bytes = kind.bytes // kind.slots
-        for page in pages_with_valid:
-            valid_here = sum(1 for p, _, _ in entries if p == page)
-            ops.append(
-                FlashOp(FlashOpType.READ, plane.plane_id, kind, valid_here * slot_bytes, gc=True)
-            )
-        lpns = [lpn for _, _, lpn in entries]
-        for start in range(0, len(lpns), kind.slots):
-            chunk = lpns[start : start + kind.slots]
-            padded = tuple(chunk) + (None,) * (kind.slots - len(chunk))
-            block, _ = allocator.allocate(plane, kind)
-            page_index = block.program(padded)
-            for slot, lpn in enumerate(padded):
-                if lpn is None:
-                    continue
-                old = mapping.update(
-                    lpn,
-                    PhysicalLocation(plane.plane_id, kind, block.block_id, page_index, slot),
-                )
-                if old is None or old.block_id != victim.block_id:
-                    raise RuntimeError("remap migrated an LPN that moved underneath it")
-            ops.append(FlashOp(FlashOpType.PROGRAM, plane.plane_id, kind, kind.bytes, gc=True))
-        for page, slot, _ in entries:
-            victim.invalidate(page, slot)
-
-        plane.retire_block(kind, victim.block_id)
+        ops, migrated = ftl.migrate(pool, victim, "remap")
+        pool.retire(victim)
         self.retired += 1
-        self.migrated_slots += len(entries)
+        self.migrated_slots += migrated
         return ops

@@ -1,10 +1,9 @@
 """Greedy garbage collection for the page-mapping FTL.
 
-A plane needs GC for a page kind when its free-block pool for that kind
-drops to the configured threshold.  The victim is the full block with the
-most invalid slots (greedy policy, as in SSDsim); its valid slots are
-migrated into the plane's active block of the same kind and the victim is
-erased back into the free pool.
+A pool needs GC when its free list drops to the configured threshold.
+The victim is the full block with the most invalid slots (greedy policy,
+as in SSDsim); its valid slots are migrated into the pool's active block
+and the victim is erased back into the free list.
 
 The paper's Implication 2 -- launch GC during the long idle gaps instead of
 waiting for the free-block count to run low -- is implemented at the device
@@ -20,10 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..geometry import PageKind
 from ..ops import FlashOp, FlashOpType
-from .blocks import Block, OutOfSpaceError, Plane
-from .mapping import PageMapping, PhysicalLocation
+from .blocks import OutOfSpaceError, Pool
 
 
 class VictimPolicy(enum.Enum):
@@ -70,86 +67,45 @@ class GreedyGC:
         self.bad_blocks = None
         self.erase_failures = 0
 
-    def needs_gc(self, plane: Plane, kind: PageKind) -> bool:
-        """Free pool at or below the threshold and something is reclaimable."""
-        if plane.free_count(kind) > self.threshold_blocks:
+    def needs_gc(self, pool: Pool) -> bool:
+        """Free list at or below the threshold and something is reclaimable."""
+        if len(pool.free) > self.threshold_blocks:
             return False
-        return self.select_victim(plane, kind) is not None
+        return self.select_victim(pool) is not None
 
-    def select_victim(self, plane: Plane, kind: PageKind) -> Optional[Block]:
+    def select_victim(self, pool: Pool) -> Optional[int]:
         """Pick a reclaimable full block per the policy; ``None`` if none."""
-        candidates = [
-            block for block in plane.gc_candidates(kind) if block.invalid_count > 0
-        ]
+        capacity = pool.pages * pool.slots
+        valid = pool.valid_count
+        candidates = [block for block in pool.gc_candidates() if valid[block] < capacity]
         if not candidates:
             return None
         if self.policy is VictimPolicy.GREEDY:
-            return max(candidates, key=lambda block: block.invalid_count)
+            # Fewest valid slots is most invalid ones; the first wins a tie.
+            return min(candidates, key=valid.__getitem__)
         if self.policy is VictimPolicy.FIFO:
-            return min(candidates, key=lambda block: block.block_id)
+            return candidates[0]
         return self._rng.choice(candidates)
 
-    def collect(
-        self,
-        plane: Plane,
-        kind: PageKind,
-        allocator,
-        mapping: PageMapping,
-    ) -> Optional[GcResult]:
-        """Collect one victim in ``plane`` for ``kind``; ``None`` if no victim.
+    def collect(self, pool: Pool, ftl) -> Optional[GcResult]:
+        """Collect one victim in ``pool``; ``None`` if there is no victim.
 
-        Valid slots are re-packed into fresh pages of the same kind in the
-        same plane (lone 4 KB residents of an 8 KB victim stay in 8 KB pages
-        and are re-paired where possible).
+        Valid slots are re-packed into fresh pages of the same pool (lone
+        4 KB residents of an 8 KB victim stay in 8 KB pages and are
+        re-paired where possible).
         """
-        victim = self.select_victim(plane, kind)
+        victim = self.select_victim(pool)
         if victim is None:
             return None
-        return self.collect_block(plane, kind, victim, allocator, mapping)
+        return self.collect_block(pool, victim, ftl)
 
-    def collect_block(
-        self,
-        plane: Plane,
-        kind: PageKind,
-        victim: Block,
-        allocator,
-        mapping: PageMapping,
-    ) -> GcResult:
+    def collect_block(self, pool: Pool, victim: int, ftl) -> GcResult:
         """Migrate ``victim``'s valid slots elsewhere and erase it.
 
         Used by normal GC (victim chosen by :meth:`select_victim`) and by
         static wear-leveling (victim chosen by coldness).
         """
-        ops: List[FlashOp] = []
-        entries = victim.valid_entries()
-        # One page read per physical page that still holds valid data.
-        pages_with_valid = sorted({page for page, _, _ in entries})
-        slot_bytes = kind.bytes // kind.slots
-        for page in pages_with_valid:
-            valid_here = sum(1 for p, _, _ in entries if p == page)
-            ops.append(
-                FlashOp(FlashOpType.READ, plane.plane_id, kind, valid_here * slot_bytes, gc=True)
-            )
-        # Re-pack the valid LPNs into fresh pages.
-        lpns = [lpn for _, _, lpn in entries]
-        for start in range(0, len(lpns), kind.slots):
-            chunk = lpns[start : start + kind.slots]
-            padded = tuple(chunk) + (None,) * (kind.slots - len(chunk))
-            block, _ = allocator.allocate(plane, kind)
-            page_index = block.program(padded)
-            for slot, lpn in enumerate(padded):
-                if lpn is None:
-                    continue
-                old = mapping.update(
-                    lpn,
-                    PhysicalLocation(plane.plane_id, kind, block.block_id, page_index, slot),
-                )
-                if old is None or old.block_id != victim.block_id:
-                    raise RuntimeError("GC migrated an LPN that moved underneath it")
-            ops.append(FlashOp(FlashOpType.PROGRAM, plane.plane_id, kind, kind.bytes, gc=True))
-        # Invalidate the victim's now-stale slots and erase it.
-        for page, slot, _ in entries:
-            victim.invalidate(page, slot)
+        ops, migrated = ftl.migrate(pool, victim, "GC")
         if (
             self.faults is not None
             and self.faults.erase_active
@@ -159,32 +115,23 @@ class GreedyGC:
             # pool) and a spare is swapped in.  The ERASE op below is still
             # emitted -- the failed attempt consumed the die either way.
             self.erase_failures += 1
-            ops.extend(
-                self.bad_blocks.retire(plane, kind, victim, allocator, mapping)
-            )
+            ops.extend(self.bad_blocks.retire(pool, victim, ftl))
         else:
-            victim.erase()
-            plane.free_blocks[kind].append(victim.block_id)
-        ops.append(FlashOp(FlashOpType.ERASE, plane.plane_id, kind, 0, gc=True))
-        return GcResult(ops=ops, migrated_slots=len(entries), erased_block=victim.block_id)
+            pool.erase(victim)
+            pool.free.append(victim)
+        ops.append(FlashOp(FlashOpType.ERASE, pool.plane, pool.kind, 0, gc=True))
+        return GcResult(ops=ops, migrated_slots=migrated, erased_block=victim)
 
-    def reclaim_until_safe(
-        self,
-        plane: Plane,
-        kind: PageKind,
-        allocator,
-        mapping: PageMapping,
-        max_rounds: int = 8,
-    ) -> List[GcResult]:
-        """Collect victims until the free pool is above the threshold."""
+    def reclaim_until_safe(self, pool: Pool, ftl, max_rounds: int = 8) -> List[GcResult]:
+        """Collect victims until the free list is above the threshold."""
         results: List[GcResult] = []
         rounds = 0
-        while plane.free_count(kind) <= self.threshold_blocks and rounds < max_rounds:
-            result = self.collect(plane, kind, allocator, mapping)
+        while len(pool.free) <= self.threshold_blocks and rounds < max_rounds:
+            result = self.collect(pool, ftl)
             if result is None:
-                if plane.free_count(kind) == 0:
+                if not pool.free:
                     raise OutOfSpaceError(
-                        f"plane {plane.plane_id} exhausted {kind} blocks and "
+                        f"plane {pool.plane} exhausted {pool.kind} blocks and "
                         "GC found nothing reclaimable"
                     )
                 break

@@ -4,7 +4,7 @@ Implication 4 of the paper argues that the weak localities of smartphone
 workloads mean *a simple wear-leveling strategy is sufficient* for an eMMC
 device.  The FTL accordingly defaults to dynamic wear-leveling only: when a
 new active block is needed, the free block with the lowest erase count is
-chosen (:meth:`repro.emmc.ftl.blocks.Plane.take_free_block`).
+chosen (:meth:`repro.emmc.ftl.blocks.Pool.open_block`).
 
 For the ablation that backs the implication, :class:`StaticWearLeveler`
 implements the heavier alternative: when the erase-count spread inside a
@@ -15,10 +15,9 @@ its (possibly fully valid) data moves onto hotter blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
-from ..geometry import PageKind
-from .blocks import Plane
+from .blocks import Pool
 
 
 @dataclass(frozen=True)
@@ -58,35 +57,38 @@ class StaticWearLeveler:
         self.spread_threshold = spread_threshold
         self.relocations = 0
 
-    def maybe_level(self, plane: Plane, kind: PageKind, gc, allocator, mapping):
-        """Relocate one cold block if the spread warrants it.
+    def maybe_level(self, pool: Pool, gc, ftl):
+        """Relocate one cold block of ``pool`` if the spread warrants it.
 
         Returns the :class:`~repro.emmc.ftl.gc.GcResult` of the relocation,
         or ``None`` when the pool is even enough (or has no candidate).
         """
-        pool = plane.blocks[kind]
-        erase_counts = [block.erase_count for block in pool if not block.is_bad]
+        erase_counts = [
+            count for count, bad in zip(pool.erase_count, pool.bad) if not bad
+        ]
         if not erase_counts:
             return None
         if max(erase_counts) - min(erase_counts) < self.spread_threshold:
             return None
-        candidates = plane.gc_candidates(kind)
+        candidates = pool.gc_candidates()
         if not candidates:
             return None
-        coldest = min(candidates, key=lambda block: block.erase_count)
-        if max(erase_counts) - coldest.erase_count < self.spread_threshold:
+        coldest = min(candidates, key=pool.erase_count.__getitem__)
+        if max(erase_counts) - pool.erase_count[coldest] < self.spread_threshold:
             return None
-        result = gc.collect_block(plane, kind, coldest, allocator, mapping)
+        result = gc.collect_block(pool, coldest, ftl)
         self.relocations += 1
         return result
 
 
-def collect_wear(planes: Iterable[Plane]) -> WearStats:
-    """Aggregate erase-count statistics over all blocks of all planes."""
+def collect_wear(pools: Iterable[Pool]) -> WearStats:
+    """Aggregate erase-count statistics over the live blocks of ``pools``.
+
+    Pass an FTL's ``pools``; retired (bad) blocks are left out.
+    """
     counts: List[int] = []
-    for plane in planes:
-        for pool in plane.blocks.values():
-            counts.extend(block.erase_count for block in pool if not block.is_bad)
+    for pool in pools:
+        counts.extend(count for count, bad in zip(pool.erase_count, pool.bad) if not bad)
     if not counts:
         return WearStats(total_erases=0, max_erase=0, min_erase=0, mean_erase=0.0)
     return WearStats(

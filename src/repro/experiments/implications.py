@@ -94,7 +94,7 @@ def _implication_4(seed: int) -> dict:
         [0.0] * 3999,
         [True] * 3999,
     )
-    wear = collect_wear(device.ftl.planes)
+    wear = collect_wear(device.ftl.pools)
     return {
         "total_erases": wear.total_erases,
         "max_erase": wear.max_erase,

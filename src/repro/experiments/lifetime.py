@@ -80,7 +80,7 @@ def run(
         device = EmmcDevice(_scaled_config(name))
         Host(device).replay(pressure_trace)
         stats = device.stats
-        wear = collect_wear(device.ftl.planes)
+        wear = collect_wear(device.ftl.pools)
         amplification = (
             (stats.flash_bytes_consumed
              + stats.gc_migrated_slots * 4096)

@@ -124,8 +124,7 @@ def simulate_device(
         )
     result = Host(emmc).replay(trace)
     stats = result.stats
-    planes = getattr(emmc.ftl, "planes", None)
-    wear = collect_wear(planes if planes is not None else ())
+    wear = collect_wear(getattr(emmc.ftl, "pools", ()))
     digest = stats_digest(stats)
     responses = stats.response_us
     row: DeviceRow = {

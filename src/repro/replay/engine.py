@@ -107,6 +107,7 @@ def fast_replay(device, trace: Trace):
             trace=trace.with_requests([]),
             stats=stats,
             config_name=device.config.name,
+            engine="fast",
         )
 
     columns = trace.columns()
@@ -130,9 +131,7 @@ def fast_replay(device, trace: Trace):
     result_trace._adopt_columns(
         _timed_columns(columns.arrival_us, dispatch_arr, finish_arr, columns)
     )
-    return ReplayResult(
-        trace=result_trace, stats=stats, config_name=device.config.name
-    )
+    return _result(device, result_trace, plan)
 
 
 def fast_replay_closed_loop(device, lba, size, ops, gaps_us, synchronous, name):
@@ -151,7 +150,10 @@ def fast_replay_closed_loop(device, lba, size, ops, gaps_us, synchronous, name):
     count = len(ops)
     if not count:
         return ReplayResult(
-            trace=Trace(name, []), stats=device.stats, config_name=device.config.name
+            trace=Trace(name, []),
+            stats=device.stats,
+            config_name=device.config.name,
+            engine="fast",
         )
     write = Op.WRITE
     op_column = np.array([op is write for op in ops], dtype=np.uint8)
@@ -191,8 +193,21 @@ def fast_replay_closed_loop(device, lba, size, ops, gaps_us, synchronous, name):
     result_trace._adopt_columns(
         _timed_columns(arrival_arr, dispatch_arr, finish_arr, stream)
     )
+    return _result(device, result_trace, plan)
+
+
+def _result(device, trace, plan):
+    """The fast path's ``ReplayResult``, with the planner's decision counts."""
+    from repro.emmc.device import ReplayResult  # local: avoids cycle
+
     return ReplayResult(
-        trace=result_trace, stats=device.stats, config_name=device.config.name
+        trace=trace,
+        stats=device.stats,
+        config_name=device.config.name,
+        engine="fast",
+        slim_writes=plan.slim_writes,
+        slim_reads=plan.slim_reads,
+        fallback_requests=plan.fallback_requests,
     )
 
 

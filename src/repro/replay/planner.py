@@ -3,32 +3,36 @@
 The planner walks the trace once, in arrival order, and does two things
 per request:
 
-* mutates the device's **real** FTL structures (planes, blocks, free
-  lists, mapping table, allocator cursor) to exactly the state the event
-  kernel's expansion would leave, and
+* drives the device's **real** FTL to exactly the state the event
+  kernel's expansion would leave -- through the FTL's own entries, never
+  by touching its mapping, blocks or free lists itself, and
 * emits the request's flash operations -- kind, busy unit, channel, unit
   latency, channel transfer latency -- appended to flat per-op arrays,
   with a per-request offset table.
 
 Two walk speeds coexist.  The *slim* path handles the overwhelmingly
 common cases arithmetically: a write whose groups cannot trigger GC
-(free-block pools stay above the threshold even after every block this
-request opens), and a read that touches only pre-trace data (the
-closed-form preload placement).  Everything else -- GC-risky writes,
-reads of rewritten data -- goes through the real :meth:`Ftl.write` /
-:meth:`Ftl.read` for that one request, so state stays exact without the
-planner re-implementing GC, wear leveling or victim policies.
+(every touched pool stays above the threshold even after every block
+this request opens, :meth:`Pool.gc_safe`), and a read that touches only
+pre-trace data (the closed-form preload placement).  Everything else --
+GC-risky writes, reads of rewritten data -- goes through the real
+:meth:`Ftl.write` / :meth:`Ftl.read` for that one request, so state stays
+exact without the planner re-implementing GC, wear leveling or victim
+policies.
 
 The slim paths are proven equivalent to the kernel's:
 
 * write groups are emitted in :meth:`RequestDistributor.pack`
   order (full large groups, then the tail), and planes advance
-  round-robin from the allocator cursor -- so the op sequence, the block
-  opens (lowest-erase-count pop) and the mapping updates are the ones
-  ``Ftl.write`` performs group by group;
+  round-robin from the FTL's cursor.  Each plane's share of a request is
+  one run of pages with evenly spaced LPNs, so the planner hands it to
+  :meth:`Ftl.program_run` as ``range`` slot columns; that programs,
+  opens blocks (lowest erase count first) and maps the LPNs through the
+  same primitive ``Ftl.write`` uses group by group;
 * a read of never-written data produces one op per preload page group in
   ascending group order, which is ``Ftl.read``'s first-seen grouping for
-  ascending LPNs, with the same per-group payloads.
+  ascending LPNs, with the same per-group payloads; its first-touch LPNs
+  are mapped by :meth:`Ftl.preload`, the routine ``Ftl.read`` uses.
 
 The planner never touches ``DeviceStats`` -- accounting rides in the
 returned :class:`ReplayPlan` and is applied once by the engine, after
@@ -42,7 +46,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.emmc.ftl.mapping import PRELOADED_BLOCK, PhysicalLocation
 from repro.emmc.ops import FlashOpType
 from repro.trace import SECTOR
 
@@ -51,14 +54,6 @@ from repro.trace import SECTOR
 PLAN_READ = 0
 PLAN_PROGRAM = 1
 PLAN_ERASE = 2
-
-#: The planner creates one :class:`PhysicalLocation` per written page --
-#: the hottest allocation in the whole pass.  A frozen dataclass pays five
-#: guarded ``object.__setattr__`` calls in its generated ``__init__``;
-#: building the instance via ``__new__`` and filling ``__dict__`` directly
-#: yields an *identical* object (same fields, same dataclass
-#: ``__eq__``/``__hash__``/``repr``) about 25 % faster.
-_NEW_LOCATION = PhysicalLocation.__new__
 
 
 @dataclass
@@ -112,7 +107,6 @@ class _Planner:
         geometry = device.geometry
         latency = device.latency
         self.ftl = ftl
-        self.planes = ftl.planes
         self.num_planes = geometry.num_planes
         multi_plane = device.config.multi_plane
         self.unit_of = [
@@ -122,7 +116,7 @@ class _Planner:
         self.chan_of = [geometry.channel_of(plane) for plane in range(self.num_planes)]
         # Rotated plane patterns: groups starting at cursor ``c`` land on
         # planes ``c, c+1, ... (mod P)``; tiling these lists reproduces
-        # the allocator's round-robin without a per-group call.
+        # the FTL's round-robin without a per-group call.
         planes_range = range(self.num_planes)
         self.unit_rot = [
             [self.unit_of[(c + i) % self.num_planes] for i in planes_range]
@@ -132,38 +126,43 @@ class _Planner:
             [self.chan_of[(c + i) % self.num_planes] for i in planes_range]
             for c in planes_range
         ]
-        kinds = geometry.kinds()
-        self.read_us = {kind: latency.timing(kind).read_us for kind in kinds}
-        self.program_us = {kind: latency.timing(kind).program_us for kind in kinds}
+        # Everything per kind is a list indexed by the FTL's kind index,
+        # so no per-request path hashes a PageKind.
+        kinds = ftl.kinds
+        self.kinds = kinds
+        self.read_us = [latency.timing(kind).read_us for kind in kinds]
+        self.program_us = [latency.timing(kind).program_us for kind in kinds]
         self.erase_us = latency.erase_us
-        self.pages_per_block = {kind: geometry.pages_for(kind) for kind in kinds}
         self._latency = latency
         self._transfer_memo: Dict[int, float] = {}
         distributor = device.distributor
         self.distributor = distributor
-        self.large = distributor.largest
-        self.small = distributor.smallest
+        large = distributor.largest
+        small = distributor.smallest
         self.hybrid = distributor.hybrid
-        self.slots_per_large = self.large.slots
+        self.slots_per_large = large.slots
+        self.large_index = kinds.index(large)
+        self.small_index = kinds.index(small)
+        self.large_pools = [ftl.pool(plane, large) for plane in planes_range]
+        self.small_pools = [ftl.pool(plane, small) for plane in planes_range]
         # PageKind.bytes/.slots are computed properties and the per-write
         # latencies are constants of the kind -- hoist them all out of the
         # per-request paths.
-        self.large_bytes = self.large.bytes
-        self.small_bytes = self.small.bytes
-        self.large_program_us = self.program_us[self.large]
-        self.small_program_us = self.program_us[self.small]
+        self.large_bytes = large.bytes
+        self.small_bytes = small.bytes
+        self.large_program_us = self.program_us[self.large_index]
+        self.small_program_us = self.program_us[self.small_index]
         self.large_transfer_us = latency.transfer_us(self.large_bytes)
         self.small_transfer_us = latency.transfer_us(self.small_bytes)
-        self.preload_kind = ftl.preload_kind
-        self.preload_slots = self.preload_kind.slots
-        self.preload_slot_bytes = self.preload_kind.bytes // self.preload_slots
-        self.preload_read_us = self.read_us[self.preload_kind]
+        preload_kind = ftl.preload_kind
+        self.preload_index = kinds.index(preload_kind)
+        self.preload_slots = preload_kind.slots
+        self.preload_slot_bytes = preload_kind.bytes // self.preload_slots
+        self.preload_read_us = self.read_us[self.preload_index]
         self.preload_full_transfer_us = latency.transfer_us(
             self.preload_slots * self.preload_slot_bytes
         )
         self.gc_threshold = ftl.gc.threshold_blocks
-        self.table = ftl.mapping.bulk_table()
-        self.allocator = ftl.allocator
 
         # Written/mapped bitmaps over the LPN range the trace touches
         # (index ``lpn - base``), seeded from any pre-existing mapping
@@ -183,11 +182,11 @@ class _Planner:
         # Shared all-ones buffer for range sets (sliced, never copied).
         max_pages = int(columns.size.max()) // SECTOR if len(columns) else 0
         self._ones = memoryview(b"\x01" * max_pages)
-        for lpn, location in ftl.mapping.items():
-            if base <= lpn < cap:
-                self.mapped[lpn - base] = 1
-                if location.block_id != PRELOADED_BLOCK:
-                    self.written[lpn - base] = 1
+        mapped, written = ftl.mapping.partition(base, cap)
+        for lpn in mapped:
+            self.mapped[lpn - base] = 1
+        for lpn in written:
+            self.written[lpn - base] = 1
 
         # Per-op output columns (lists; converted once at the end).
         self.op_kind: List[int] = []
@@ -204,8 +203,12 @@ class _Planner:
         self.gc_collections = 0
         self.gc_migrated_slots = 0
         self.preloaded_pages = 0
-        self.page_reads: Dict = {}
-        self.page_programs: Dict = {}
+        # Per-kind op counts, plus the kind indices in first-count order
+        # (the order the kernel's stats dicts gain their keys in).
+        self.page_reads = [0] * len(kinds)
+        self.page_programs = [0] * len(kinds)
+        self.read_order: List[int] = []
+        self.program_order: List[int] = []
         self.slim_writes = 0
         self.slim_reads = 0
         self.fallback_requests = 0
@@ -219,6 +222,16 @@ class _Planner:
             duration = self._latency.transfer_us(payload_bytes)
             memo[payload_bytes] = duration
         return duration
+
+    def _count_reads(self, index: int, count: int) -> None:
+        if not self.page_reads[index]:
+            self.read_order.append(index)
+        self.page_reads[index] += count
+
+    def _count_programs(self, index: int, count: int) -> None:
+        if not self.page_programs[index]:
+            self.program_order.append(index)
+        self.page_programs[index] += count
 
     def _extend_planes(self, cursor: int, count: int) -> None:
         """Append ``count`` unit/channel rows striped from ``cursor``."""
@@ -249,6 +262,7 @@ class _Planner:
             else:
                 self._plan_read(first, pages, size_list[i])
             req_ops_append(len(self.op_kind))
+        kinds = self.kinds
         return ReplayPlan(
             op_kind=np.array(self.op_kind, dtype=np.uint8),
             op_unit=np.array(self.op_unit, dtype=np.int32),
@@ -262,8 +276,8 @@ class _Planner:
             gc_collections=self.gc_collections,
             gc_migrated_slots=self.gc_migrated_slots,
             preloaded_pages=self.preloaded_pages,
-            page_reads=self.page_reads,
-            page_programs=self.page_programs,
+            page_reads={kinds[i]: self.page_reads[i] for i in self.read_order},
+            page_programs={kinds[i]: self.page_programs[i] for i in self.program_order},
             slim_writes=self.slim_writes,
             slim_reads=self.slim_reads,
             fallback_requests=self.fallback_requests,
@@ -283,78 +297,60 @@ class _Planner:
             n_large, n_small = n_full + 1, 0  # padded trailing large group
         else:
             n_large, n_small = n_full, 0
-        cursor = self.allocator.cursor
+        ftl = self.ftl
+        cursor = ftl.cursor
         if not self._write_fits(cursor, n_large, n_small):
             self._fallback_write(first, pages)
             return
         self.slim_writes += 1
         total_groups = n_large + n_small
         end = first + pages
-        span = slice(first - self.base, end - self.base)  # bitmap indices
 
         # Op emission, in RequestDistributor.pack group order.
         self.op_kind.extend([PLAN_PROGRAM] * total_groups)
         self._extend_planes(cursor, total_groups)
-        large, small = self.large, self.small
         if n_large:
             self.op_unit_us.extend([self.large_program_us] * n_large)
             self.op_transfer_us.extend([self.large_transfer_us] * n_large)
-            self.page_programs[large] = self.page_programs.get(large, 0) + n_large
+            self._count_programs(self.large_index, n_large)
         if n_small:
             self.op_unit_us.extend([self.small_program_us] * n_small)
             self.op_transfer_us.extend([self.small_transfer_us] * n_small)
-            self.page_programs[small] = self.page_programs.get(small, 0) + n_small
+            self._count_programs(self.small_index, n_small)
         self.data_bytes_written += pages * SECTOR
         self.flash_bytes_consumed += (
             n_large * self.large_bytes + n_small * self.small_bytes
         )
 
-        # State mutation: fill each touched plane's active blocks with the
-        # LPN tuples the per-group walk would have programmed there.
-        stale_possible = 1 in self.written[span]
+        # State: each plane's full large groups are one run whose slot
+        # columns are evenly spaced LPNs, then the tail's groups.
         P = self.num_planes
-        planes = self.planes
+        program = ftl.program_run
+        large_pools = self.large_pools
         if n_full:
+            step = P * L
             base, extra = divmod(n_full, P)
             for offset in range(P if n_full >= P else n_full):
-                count = base + 1 if offset < extra else base
-                if not count:
-                    continue
-                start_lpn = first + offset * L
-                step = P * L
-                stop = start_lpn + count * step
-                if L == 1:
-                    tuples = [(lpn,) for lpn in range(start_lpn, stop, step)]
-                elif L == 2:
-                    tuples = [(lpn, lpn + 1) for lpn in range(start_lpn, stop, step)]
-                else:
-                    tuples = [
-                        tuple(range(lpn, lpn + L)) for lpn in range(start_lpn, stop, step)
-                    ]
-                self._fill_plane(
-                    planes[(cursor + offset) % P],
-                    large,
-                    tuples,
-                    stale_possible,
-                    singles=L == 1,
+                start = first + offset * L
+                stop = start + (base + 1 if offset < extra else base) * step
+                program(
+                    large_pools[(cursor + offset) % P],
+                    [range(start + slot, stop + slot, step) for slot in range(L)],
                 )
         if tail:
             tail_first = first + n_full * L
             if self.hybrid:
+                small_pools = self.small_pools
                 for offset in range(tail):
-                    self._fill_plane(
-                        planes[(cursor + n_full + offset) % P],
-                        small,
-                        [(tail_first + offset,)],
-                        stale_possible,
-                        singles=True,
+                    program(
+                        small_pools[(cursor + n_full + offset) % P],
+                        ((tail_first + offset,),),
                     )
             else:
-                padded = tuple(range(tail_first, end)) + (None,) * (L - tail)
-                self._fill_plane(
-                    planes[(cursor + n_full) % P], large, [padded], stale_possible
-                )
-        self.allocator.advance(total_groups)
+                padded = list(range(tail_first, end)) + [None] * (L - tail)
+                program(large_pools[(cursor + n_full) % P], list(zip(padded)))
+        ftl.advance(total_groups)
+        span = slice(first - self.base, end - self.base)  # bitmap indices
         ones = self._ones[:pages]
         self.written[span] = ones
         self.mapped[span] = ones
@@ -371,112 +367,19 @@ class _Planner:
         Pools that merely *might* GC go through the real write path.
         """
         P = self.num_planes
-        planes = self.planes
-        if n_large:
-            base, extra = divmod(n_large, P)
-            for offset in range(P if n_large >= P else n_large):
+        threshold = self.gc_threshold
+        for pools, groups, start in (
+            (self.large_pools, n_large, cursor),
+            (self.small_pools, n_small, cursor + n_large),
+        ):
+            if not groups:
+                continue
+            base, extra = divmod(groups, P)
+            for offset in range(P if groups >= P else groups):
                 count = base + 1 if offset < extra else base
-                if count and not self._pool_fits(
-                    planes[(cursor + offset) % P], self.large, count
-                ):
-                    return False
-        if n_small:
-            base, extra = divmod(n_small, P)
-            tail_cursor = cursor + n_large
-            for offset in range(P if n_small >= P else n_small):
-                count = base + 1 if offset < extra else base
-                if count and not self._pool_fits(
-                    planes[(tail_cursor + offset) % P], self.small, count
-                ):
+                if not pools[(start + offset) % P].gc_safe(count, threshold):
                     return False
         return True
-
-    def _pool_fits(self, plane, kind, groups: int) -> bool:
-        active_id = plane.active_block[kind]
-        available = 0
-        if active_id is not None:
-            block = plane.blocks[kind][active_id]
-            available = block.pages_per_block - block.write_ptr
-        if groups <= available:
-            opens = 0
-        else:
-            per_block = self.pages_per_block[kind]
-            opens = -(-(groups - available) // per_block)
-        return len(plane.free_blocks[kind]) - opens > self.gc_threshold
-
-    def _fill_plane(
-        self, plane, kind, tuples, stale_possible: bool, singles: bool = False
-    ) -> None:
-        """Program ``tuples`` into ``plane``'s active ``kind`` blocks.
-
-        ``singles`` promises every entry is a padding-free 1-tuple (full
-        1-slot groups, hybrid-tail singles), letting the hottest shape
-        skip the per-slot loop.
-        """
-        allocate = self.allocator.allocate
-        table = self.table
-        plane_id = plane.plane_id
-        planes = self.planes
-        new = _NEW_LOCATION
-        index = 0
-        total = len(tuples)
-        while index < total:
-            block, _ = allocate(plane, kind)
-            take = block.pages_per_block - block.write_ptr
-            if take > total - index:
-                take = total - index
-            chunk = tuples[index : index + take]
-            page = block.write_ptr
-            block.slots.extend(chunk)
-            block.write_ptr += take
-            block_id = block.block_id
-            if singles and not stale_possible:
-                for entry in chunk:
-                    location = new(PhysicalLocation)
-                    location.__dict__.update(
-                        plane=plane_id, kind=kind, block_id=block_id,
-                        page=page, slot=0,
-                    )
-                    table[entry[0]] = location
-                    page += 1
-                block.valid_count += take
-                index += take
-                continue
-            valid = 0
-            if stale_possible:
-                get = table.get
-                for entry in chunk:
-                    for slot, lpn in enumerate(entry):
-                        if lpn is None:
-                            continue
-                        valid += 1
-                        old = get(lpn)
-                        location = new(PhysicalLocation)
-                        location.__dict__.update(
-                            plane=plane_id, kind=kind, block_id=block_id,
-                            page=page, slot=slot,
-                        )
-                        table[lpn] = location
-                        if old is not None and old.block_id != PRELOADED_BLOCK:
-                            planes[old.plane].blocks[old.kind][old.block_id].invalidate(
-                                old.page, old.slot
-                            )
-                    page += 1
-            else:
-                for entry in chunk:
-                    for slot, lpn in enumerate(entry):
-                        if lpn is None:
-                            continue
-                        valid += 1
-                        location = new(PhysicalLocation)
-                        location.__dict__.update(
-                            plane=plane_id, kind=kind, block_id=block_id,
-                            page=page, slot=slot,
-                        )
-                        table[lpn] = location
-                    page += 1
-            block.valid_count += valid
-            index += take
 
     def _fallback_write(self, first: int, pages: int) -> None:
         """GC possible: run the real FTL write for this one request."""
@@ -498,23 +401,25 @@ class _Planner:
         """Convert real FlashOps (fallback paths) into plan rows, in order."""
         unit_of = self.unit_of
         chan_of = self.chan_of
+        kind_index = self.kinds.index
         read_type = FlashOpType.READ
         program_type = FlashOpType.PROGRAM
         for op in ops:
             plane = op.plane
             self.op_unit.append(unit_of[plane])
             self.op_channel.append(chan_of[plane])
-            kind = op.kind
             if op.op_type is read_type:
+                index = kind_index(op.kind)
                 self.op_kind.append(PLAN_READ)
-                self.op_unit_us.append(self.read_us[kind])
+                self.op_unit_us.append(self.read_us[index])
                 self.op_transfer_us.append(self._transfer_of(op.payload_bytes))
-                self.page_reads[kind] = self.page_reads.get(kind, 0) + 1
+                self._count_reads(index, 1)
             elif op.op_type is program_type:
+                index = kind_index(op.kind)
                 self.op_kind.append(PLAN_PROGRAM)
-                self.op_unit_us.append(self.program_us[kind])
+                self.op_unit_us.append(self.program_us[index])
                 self.op_transfer_us.append(self._transfer_of(op.payload_bytes))
-                self.page_programs[kind] = self.page_programs.get(kind, 0) + 1
+                self._count_programs(index, 1)
             else:
                 self.op_kind.append(PLAN_ERASE)
                 self.op_unit_us.append(self.erase_us)
@@ -536,7 +441,6 @@ class _Planner:
         group_first = first // S
         group_last = (end - 1) // S
         n_ops = group_last - group_first + 1
-        kind = self.preload_kind
         slot_bytes = self.preload_slot_bytes
         if n_ops == 1:
             # Fast lane for the dominant shape: one preload group.
@@ -556,31 +460,17 @@ class _Planner:
             transfers[0] = self._transfer_of(first_count * slot_bytes)
             transfers[-1] = self._transfer_of(last_count * slot_bytes)
             self.op_transfer_us.extend(transfers)
-        self.page_reads[kind] = self.page_reads.get(kind, 0) + n_ops
+        self._count_reads(self.preload_index, n_ops)
         # First-touch LPNs get their preload mapping entry, exactly as
-        # Ftl._preload would have inserted it.
+        # Ftl.read would have inserted it.
         segment = self.mapped[span]
         if 0 in segment:
-            table = self.table
-            P = self.num_planes
-            new = _NEW_LOCATION
-            touched = 0
-            for offset, seen in enumerate(segment):
-                if seen:
-                    continue
-                touched += 1
-                lpn = first + offset
-                group = lpn // S
-                location = new(PhysicalLocation)
-                location.__dict__.update(
-                    plane=group % P,
-                    kind=kind,
-                    block_id=PRELOADED_BLOCK,
-                    page=group // P,
-                    slot=lpn - group * S,
-                )
-                table[lpn] = location
-            self.preloaded_pages += touched
+            if 1 in segment:
+                fresh = [first + offset for offset, seen in enumerate(segment) if not seen]
+            else:
+                fresh = range(first, end)
+            self.ftl.preload(fresh)
+            self.preloaded_pages += len(fresh)
             self.mapped[span] = self._ones[:pages]
 
     def _fallback_read(self, first: int, end: int) -> None:

@@ -17,8 +17,7 @@ from repro.emmc import (
     hps,
     small_four_ps,
 )
-from repro.emmc.ftl import OutOfSpaceError, PageAllocator, PageMapping
-from repro.emmc.ftl.blocks import Plane
+from repro.emmc.ftl import Ftl, OutOfSpaceError
 
 
 class TestPowerBoundaries:
@@ -45,39 +44,36 @@ class TestStructureHelpers:
 
 
 class TestGcEdges:
-    def _plane(self, blocks=2, pages=2):
+    def _pool(self, blocks=2, pages=2):
         geometry = Geometry(
             channels=1, dies_per_chip=1, planes_per_die=1,
             blocks_per_plane={PageKind.K4: blocks}, pages_per_block=pages,
         )
-        return geometry, Plane.create(0, geometry)
+        ftl = Ftl(geometry)
+        return ftl, ftl.pools[0]
 
     def test_reclaim_raises_when_free_zero_and_nothing_reclaimable(self):
-        geometry, plane = self._plane()
-        allocator = PageAllocator(geometry, [plane])
-        mapping = PageMapping()
+        ftl, pool = self._pool()
         # Fill both blocks with valid data (nothing reclaimable).
         for block_index in range(2):
-            block = plane.take_free_block(PageKind.K4)
-            for page in range(2):
-                block.program((block_index * 2 + page,))
+            block = pool.open_block()
+            ftl.program(pool, block, [(block_index * 2, block_index * 2 + 1)])
+        pool.active = None
         gc = GreedyGC(threshold_blocks=1)
         with pytest.raises(OutOfSpaceError):
-            gc.reclaim_until_safe(plane, PageKind.K4, allocator, mapping)
+            gc.reclaim_until_safe(pool, ftl)
 
     def test_reclaim_stops_at_max_rounds(self):
-        geometry, plane = self._plane(blocks=6)
-        allocator = PageAllocator(geometry, [plane])
-        mapping = PageMapping()
+        ftl, pool = self._pool(blocks=6)
         # Several reclaimable blocks, but cap rounds at 1.
         for base in range(4):
-            block = plane.take_free_block(PageKind.K4)
-            block.program((base,))
-            block.program((base + 100,))
-            block.invalidate(0, 0)
-            block.invalidate(1, 0)
+            block = pool.open_block()
+            ftl.program(pool, block, [(base, base + 100)])
+            pool.invalidate(block, 0, 0)
+            pool.invalidate(block, 1, 0)
+        pool.active = None
         results = GreedyGC(threshold_blocks=4).reclaim_until_safe(
-            plane, PageKind.K4, allocator, mapping, max_rounds=1
+            pool, ftl, max_rounds=1
         )
         assert len(results) == 1
 

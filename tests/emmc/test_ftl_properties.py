@@ -34,8 +34,8 @@ ops_strategy = st.lists(
 @given(ops=ops_strategy, scheme=st.sampled_from(["4PS", "8PS", "HPS"]))
 @settings(max_examples=40, deadline=None)
 def test_mapping_stays_consistent(ops, scheme):
-    """After any request sequence: every mapped LPN points at a valid slot
-    holding exactly that LPN, and valid counts equal the mapping's view."""
+    """After any request sequence: every written LPN is mapped into flash,
+    and the FTL's invariants hold."""
     kinds = {
         "4PS": {PageKind.K4: 8},
         "8PS": {PageKind.K8: 4},
@@ -51,26 +51,14 @@ def test_mapping_stays_consistent(ops, scheme):
         if op is Op.WRITE:
             written.update(range(lpn, lpn + pages))
     ftl = device.ftl
-    mapped_in_blocks = 0
     for lpn in written:
         location = ftl.mapping.lookup(lpn)
         assert location is not None
         assert location.block_id != PRELOADED_BLOCK
-        block = ftl.planes[location.plane].block(location.kind, location.block_id)
-        assert block.slots[location.page][location.slot] == lpn
-        mapped_in_blocks += 1
-    # Every block's valid_count equals the number of slots the mapping
-    # still points at within that block.
-    for plane in ftl.planes:
-        for pool in plane.blocks.values():
-            for block in pool:
-                pointed = sum(
-                    1
-                    for page, slots in enumerate(block.slots)
-                    for slot, lpn in enumerate(slots)
-                    if lpn is not None
-                )
-                assert pointed == block.valid_count
+    # Every flash-resident mapping entry points at a valid slot holding
+    # exactly that LPN, and every block's valid count equals the slots
+    # it holds (plus the free-list, active-block and bad-block rules).
+    ftl.check_invariants()
 
 
 @given(ops=ops_strategy)

@@ -13,8 +13,7 @@ from repro.emmc import (
     collect_wear,
     small_four_ps,
 )
-from repro.emmc.ftl import PageAllocator, PageMapping, PhysicalLocation
-from repro.emmc.ftl.blocks import Plane
+from repro.emmc.ftl import Ftl
 
 
 def _tiny_geometry(blocks=8, pages=16):
@@ -73,12 +72,10 @@ class TestStaticWearLeveling:
             StaticWearLeveler(spread_threshold=0)
 
     def test_noop_when_even(self):
-        geometry = _tiny_geometry()
-        plane = Plane.create(0, geometry)
-        allocator = PageAllocator(geometry, [plane, Plane.create(1, geometry)])
+        ftl = Ftl(_tiny_geometry())
         leveler = StaticWearLeveler(spread_threshold=4)
         gc = GreedyGC()
-        assert leveler.maybe_level(plane, PageKind.K4, gc, allocator, PageMapping()) is None
+        assert leveler.maybe_level(ftl.pools[0], gc, ftl) is None
         assert leveler.relocations == 0
 
     def test_bounds_spread_under_hot_cold_workload(self):
@@ -105,7 +102,7 @@ class TestStaticWearLeveling:
                 lpn = 40 + (i % 8)
                 done = device.submit(Request(at, lpn * 4 * KIB, 4 * KIB, Op.WRITE))
                 at = done.finish_us
-            return collect_wear(device.ftl.planes), device
+            return collect_wear(device.ftl.pools), device
 
         baseline, _ = run(None)
         leveled, device = run(6)

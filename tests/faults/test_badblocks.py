@@ -61,20 +61,18 @@ class TestRetirementUnderGcPressure:
 
     def test_retired_blocks_are_fully_quarantined(self):
         retired_seen = 0
-        for plane in self.device.ftl.planes:
-            for kind, pool in plane.blocks.items():
-                free = set(plane.free_blocks[kind])
-                active = plane.active_block.get(kind)
-                for block in pool:
-                    if not block.is_bad:
-                        continue
-                    retired_seen += 1
-                    assert block.block_id not in free
-                    assert active != block.block_id
-                    assert block.valid_count == 0  # contents migrated away
-                # GC must never pick a retired block as victim.
-                for candidate in plane.gc_candidates(kind):
-                    assert not candidate.is_bad
+        for pool in self.device.ftl.pools:
+            free = set(pool.free)
+            for block in range(len(pool)):
+                if not pool.bad[block]:
+                    continue
+                retired_seen += 1
+                assert block not in free
+                assert pool.active != block
+                assert pool.valid_count[block] == 0  # contents migrated away
+            # GC must never pick a retired block as victim.
+            for candidate in pool.gc_candidates():
+                assert not pool.bad[candidate]
         assert retired_seen == self.result.stats.bad_blocks_retired
 
     def test_no_mapping_entry_points_into_a_bad_block(self):
@@ -83,25 +81,21 @@ class TestRetirementUnderGcPressure:
             location = ftl.mapping.lookup(lpn)
             if location.preloaded:
                 continue
-            plane = ftl.planes[location.plane]
-            block = plane.blocks[location.kind][location.block_id]
-            assert not block.is_bad, f"lpn {lpn} maps into retired block"
+            pool = ftl.pool(location.plane, location.kind)
+            assert not pool.bad[location.block_id], f"lpn {lpn} maps into retired block"
+
+    def test_ftl_invariants_hold(self):
+        self.device.ftl.check_invariants()
 
     def test_wear_stats_exclude_retired_blocks(self):
-        wear = collect_wear(self.device.ftl.planes)
+        wear = collect_wear(self.device.ftl.pools)
         live_erases = sum(
-            block.erase_count
-            for plane in self.device.ftl.planes
-            for pool in plane.blocks.values()
-            for block in pool
-            if not block.is_bad
+            count
+            for pool in self.device.ftl.pools
+            for count, bad in zip(pool.erase_count, pool.bad)
+            if not bad
         )
-        all_erases = sum(
-            block.erase_count
-            for plane in self.device.ftl.planes
-            for pool in plane.blocks.values()
-            for block in pool
-        )
+        all_erases = sum(sum(pool.erase_count) for pool in self.device.ftl.pools)
         assert wear.total_erases == live_erases
         # Retired blocks carry erase history that the wear report drops.
         assert all_erases >= live_erases

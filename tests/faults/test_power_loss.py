@@ -24,6 +24,18 @@ def _trace(num=12):
     )
 
 
+def _check_invariants_on_recover(monkeypatch):
+    """Make every ``EmmcDevice.recover`` check the FTL's invariants after."""
+    recover = EmmcDevice.recover
+
+    def checked(self, *args, **kwargs):
+        report = recover(self, *args, **kwargs)
+        self.ftl.check_invariants()
+        return report
+
+    monkeypatch.setattr(EmmcDevice, "recover", checked)
+
+
 def _baseline_event_count(config, trace):
     # Counts kernel events, so the replay must run on the event kernel;
     # an on_complete observer pins it there (the fast path has no events).
@@ -35,7 +47,8 @@ def _baseline_event_count(config, trace):
 class TestExhaustiveSweep:
     """Cut before event k, for every k the fault-free replay fires."""
 
-    def test_every_cut_point_recovers_and_serves_everything(self):
+    def test_every_cut_point_recovers_and_serves_everything(self, monkeypatch):
+        _check_invariants_on_recover(monkeypatch)
         trace = _trace()
         config = small_four_ps()
         total_events = _baseline_event_count(config, trace)
@@ -93,6 +106,7 @@ class TestRecoverContract:
         }
         assert written_before  # the trace wrote something
         report = device.recover()
+        device.ftl.check_invariants()
         # Preloaded locations are dropped (re-derived on demand); every
         # flash-written LPN is rediscovered by the scan.
         assert report.remapped_entries == len(written_before)
