@@ -395,7 +395,11 @@ def _cmd_replay(args) -> int:
         for name, value in dec.components.items():
             totals[name] += value
     response_total = sum(stats.response_us)
+    engine = result.engine
+    if result.fallback_reasons:
+        engine += ": " + "; ".join(result.fallback_reasons)
     rows = [
+        ["Engine", engine],
         ["Requests served", f"{len(result.trace):,}"],
         ["Mean response (ms)", f"{response_total / max(len(result.trace), 1) / 1000:.3f}"],
         ["Spans recorded", f"{len(sink.spans):,}"],

@@ -16,9 +16,10 @@ Structure (one :class:`repro.sim.EventLoop` per device):
   the kernel up to the arrival instant.
 * Admission (who may dispatch when) lives in
   :class:`repro.sim.AdmissionQueue`, parameterized by ``queue_depth``.
-* The timing engine reserves windows on serially-reusable
-  :class:`repro.sim.ResourceTimeline` objects -- one controller, one per
-  channel, one per die (or per plane with ``multi_plane``).
+* The timing engine reserves windows on serially-reusable resources --
+  one controller, one per channel, one per die (or per plane with
+  ``multi_plane``) -- through :func:`repro.emmc.reserve.reserve`, the
+  op-row arithmetic the replay fast path runs too.
 * Idle-time GC and the power-down transition are ``IDLE_GC`` /
   ``POWER_DOWN`` timer events armed after every request and canceled by
   the next arrival, instead of gap checks bolted onto the next dispatch.
@@ -34,7 +35,7 @@ old inline arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.sim import (
     AdmissionQueue,
@@ -56,6 +57,7 @@ from .geometry import Geometry, PageKind
 from .latency import LatencyParams
 from .ops import FlashOp, FlashOpType
 from .power import PowerModel
+from .reserve import OpRows, TimingState, reserve
 from .stats import DeviceStats
 
 
@@ -112,16 +114,19 @@ class ReplayResult:
 
     ``engine`` names what served the replay: ``"kernel"`` (the event
     loop) or ``"fast"`` (the two-pass fast path, :mod:`repro.replay`).
-    On the fast path the planner's decision counts follow: requests it
-    planned arithmetically (``slim_writes``, ``slim_reads``) and those
-    it handed to the real FTL (``fallback_requests``); they sum to the
-    trace length.  The kernel reports zeros.
+    ``fallback_reasons`` says why the kernel served it; it is empty
+    exactly when ``engine == "fast"``.  On the fast path the planner's
+    decision counts follow: requests it planned arithmetically
+    (``slim_writes``, ``slim_reads``) and those it handed to the real FTL
+    (``fallback_requests``); they sum to the trace length.  The kernel
+    reports zeros.
     """
 
     trace: Trace
     stats: DeviceStats
     config_name: str
     engine: str = "kernel"
+    fallback_reasons: Tuple[str, ...] = ()
     slim_writes: int = 0
     slim_reads: int = 0
     fallback_requests: int = 0
@@ -163,6 +168,11 @@ class EmmcDevice:
         self.fault_plan = faults
         self.faults = (
             faults.injector() if faults is not None and faults.device_active else None
+        )
+        #: The injector when read faults are armed (the reservation routine
+        #: draws them), else ``None``.
+        self.read_faults = (
+            self.faults if self.faults is not None and self.faults.read_active else None
         )
         if self.faults is not None and (
             self.faults.program_active or self.faults.erase_active
@@ -209,15 +219,18 @@ class EmmcDevice:
         self.kernel = kernel if kernel is not None else EventLoop()
         #: Host-interface admission: ``queue_depth`` slots.
         self.queue = AdmissionQueue(config.queue_depth)
-        #: The FTL/controller is a single serialized resource.
-        self.controller = ResourceTimeline("controller")
-        #: One timeline per channel bus.
-        self.channels = ResourcePool(self.geometry.channels, "channel")
-        #: One timeline per busy unit: dies, or planes with multi_plane.
-        units = (
-            self.geometry.num_planes if config.multi_plane else self.geometry.num_dies
+        #: Frontiers of the controller (a single serialized resource), each
+        #: channel bus and each busy unit -- dies, or planes with
+        #: multi_plane -- shared with the replay fast path.
+        self.timing = TimingState(
+            self.geometry.channels,
+            self.geometry.num_planes if config.multi_plane else self.geometry.num_dies,
+            config.latency.ftl_overhead_us,
+            config.gc_copyback,
         )
-        self.units = ResourcePool(units, "plane" if config.multi_plane else "die")
+        self._unit_name = "plane" if config.multi_plane else "die"
+        #: FlashOps -> op rows, for the kernel and the planner's fallbacks.
+        self.op_rows = OpRows(self.geometry, self.latency, config.multi_plane)
         # ``telemetry`` mirrors the fault-plan pattern: ``None`` (the
         # default) is structural absence -- no sink anywhere, no recording
         # branch taken while serving.  An attached sink is shared with the
@@ -232,6 +245,21 @@ class EmmcDevice:
         self._idle_gc_timer: Optional[Event] = None
         self._power_down_timer: Optional[Event] = None
         self._arm_activity_timers()
+
+    # Snapshots of :attr:`timing` as timelines (copies: reserving goes
+    # through repro.emmc.reserve).
+
+    @property
+    def controller(self) -> ResourceTimeline:
+        return _pool("controller", [self.timing.resources()["controller"]])[0]
+
+    @property
+    def channels(self) -> ResourcePool:
+        return _pool("channel", self.timing.resources()["channels"])
+
+    @property
+    def units(self) -> ResourcePool:
+        return _pool(self._unit_name, self.timing.resources()["units"])
 
     @property
     def capacity_bytes(self) -> int:
@@ -377,14 +405,7 @@ class EmmcDevice:
             self.buffer.power_cycle()
         self.kernel = self.kernel.successor(resume_us)
         self.queue = AdmissionQueue(self.config.queue_depth)
-        self.controller = ResourceTimeline("controller")
-        self.channels = ResourcePool(self.geometry.channels, "channel")
-        units = (
-            self.geometry.num_planes
-            if self.config.multi_plane
-            else self.geometry.num_dies
-        )
-        self.units = ResourcePool(units, "plane" if self.config.multi_plane else "die")
+        self.timing.reset()
         self._idle_gc_timer = None
         self._power_down_timer = None
         self.power.reset_for_recovery(resume_us)
@@ -463,7 +484,7 @@ class EmmcDevice:
                 "wake-up", dispatch, start - dispatch,
                 cat="power", track="requests", parent=rid,
             )
-        unit_track = self.units.name
+        unit_track = self._unit_name
         gc_begin = gc_end = None
         for leg in legs:
             (gc, code, die, channel, issue_start, issue,
@@ -590,134 +611,37 @@ class EmmcDevice:
         start: float,
         legs: Optional[List[tuple]] = None,
     ) -> float:
-        """Reserve ops on the controller/channel/unit timelines; returns makespan end.
+        """Reserve ops on the controller/channel/unit frontiers; returns makespan end.
 
-        Each op claims ``[start, end)`` windows in arrival order with no
-        preemption -- ``ResourceTimeline.reserve`` is the very ``max()``
-        arithmetic this method used to inline, so the numbers (and their
-        floating-point rounding) are unchanged.
+        The ops become op rows and :func:`repro.emmc.reserve.reserve`
+        claims their windows in order, with no preemption.  Each ECC
+        retry it reports becomes a ``FAULT_RETRY`` kernel event at the
+        retry's start, so retries are visible in the recorded event
+        trace.
 
         ``legs`` (telemetry enabled only) receives one tuple per op in
         the :data:`repro.telemetry.decomposition` ``L_*`` layout --
-        every reservation window this loop computes anyway, captured
+        every reservation window the routine computes anyway, captured
         instead of discarded.  Recording never changes a reservation.
         """
-        record = legs is not None
-        finish = start
+        stats = self.stats
         for op in ops:
-            channel = self.geometry.channel_of(op.plane)
-            die = op.plane if self.config.multi_plane else self.geometry.die_of(op.plane)
-            timing = self.latency.timing(op.kind)
-            # Controller processing (mapping lookup, command issue) is a
-            # single serialized resource -- the structural reason per-op
-            # counts matter as much as bytes on eMMC-class hardware.
-            issue_start, issue = self.controller.reserve(
-                start, self.latency.ftl_overhead_us
-            )
-            copyback = self.config.gc_copyback and op.gc
-            transfer_window = None
-            retries: tuple = ()
             if op.op_type is FlashOpType.READ:
-                code = 0
-                unit_start, die_end = self.units.reserve(die, issue, timing.read_us)
-                unit_window = (unit_start, die_end)
-                uncorrectable = False
-                if self.faults is not None and self.faults.read_active:
-                    retry_windows = [] if record else None
-                    die_end, uncorrectable = self._inject_read_faults(
-                        die, die_end, timing, retry_windows
-                    )
-                    if record and retry_windows:
-                        retries = tuple(retry_windows)
-                if copyback or uncorrectable:
-                    # Copyback: data stays in the plane's page register.
-                    # Uncorrectable: there is no good data to transfer --
-                    # the command completes with an ECC error status.
-                    op_finish = die_end
-                else:
-                    transfer_start, transfer_end = self.channels.reserve(
-                        channel, die_end, self.latency.transfer_us(op.payload_bytes)
-                    )
-                    transfer_window = (transfer_start, transfer_end)
-                    op_finish = transfer_end
-                    self.stats.busy_transfer_us += transfer_end - transfer_start
-                self.stats.busy_read_us += timing.read_us
-                self.stats.record_op_counts(op.kind, reads=1)
+                stats.record_op_counts(op.kind, reads=1)
             elif op.op_type is FlashOpType.PROGRAM:
-                code = 1
-                if copyback:
-                    unit_start, die_end = self.units.reserve(
-                        die, issue, timing.program_us
-                    )
-                    op_finish = die_end
-                else:
-                    transfer_start, transfer_end = self.channels.reserve(
-                        channel, issue, self.latency.transfer_us(op.payload_bytes)
-                    )
-                    transfer_window = (transfer_start, transfer_end)
-                    unit_start, die_end = self.units.reserve(
-                        die, transfer_end, timing.program_us
-                    )
-                    op_finish = die_end
-                    self.stats.busy_transfer_us += transfer_end - transfer_start
-                unit_window = (unit_start, die_end)
-                self.stats.busy_program_us += timing.program_us
-                self.stats.record_op_counts(op.kind, programs=1)
-            else:  # ERASE
-                code = 2
-                unit_start, die_end = self.units.reserve(
-                    die, issue, self.latency.erase_us
+                stats.record_op_counts(op.kind, programs=1)
+        timing = self.timing
+        timing.load(stats)
+        faults = self.read_faults
+        retries = None if faults is None else []
+        finish = reserve(timing, self.op_rows.of(ops), start, faults, retries, legs)
+        timing.store(stats)
+        if retries:
+            for attempt, retry_start in retries:
+                self.kernel.schedule(
+                    retry_start, kind=EventKind.FAULT_RETRY, label=f"ecc-retry-{attempt}"
                 )
-                unit_window = (unit_start, die_end)
-                op_finish = die_end
-                self.stats.erases += 1
-                self.stats.busy_erase_us += self.latency.erase_us
-            if record:
-                legs.append((
-                    op.gc, code, die, channel, issue_start, issue,
-                    unit_window, transfer_window, retries, op_finish,
-                ))
-            if op_finish > finish:
-                finish = op_finish
         return finish
-
-    def _inject_read_faults(
-        self, die: int, die_end: float, timing, retry_windows=None
-    ):
-        """Bounded ECC-retry loop for one page read; returns (end, fatal).
-
-        Each failed attempt is retried after a linearly growing backoff
-        (``attempt * read_retry_backoff_us``), modeled as a fresh die
-        reservation plus a ``FAULT_RETRY`` kernel event at the retry's
-        start -- so retries are visible in the recorded event trace and
-        extend the request's service time through the ordinary timeline
-        arithmetic.  After ``read_retry_limit`` failed retries the read is
-        declared uncorrectable (the caller skips the data transfer).
-
-        ``retry_windows`` (telemetry enabled only) receives each retry
-        read's reserved ``(start, end)`` window.
-        """
-        failures = self.faults.read_failures()
-        if failures == 0:
-            return die_end, False
-        plan = self.faults.plan
-        retries = min(failures, plan.read_retry_limit)
-        for attempt in range(1, retries + 1):
-            backoff = attempt * plan.read_retry_backoff_us
-            start, die_end = self.units.reserve(die, die_end + backoff, timing.read_us)
-            self.kernel.schedule(
-                start, kind=EventKind.FAULT_RETRY, label=f"ecc-retry-{attempt}"
-            )
-            if retry_windows is not None:
-                retry_windows.append((start, die_end))
-            self.stats.read_retries += 1
-            self.stats.read_retry_backoff_us += backoff
-            self.stats.busy_read_us += timing.read_us
-        if failures > plan.read_retry_limit:
-            self.stats.uncorrectable_reads += 1
-            return die_end, True
-        self.stats.corrected_reads += 1
-        return die_end, False
 
     # -- idle/power timers (Implication 2 + Characteristic 4) -------------------------
 
@@ -794,6 +718,14 @@ class EmmcDevice:
         stats.response_us.append(finish - request.arrival_us)
         if wait <= 1e-9:
             stats.no_wait_requests += 1
+
+
+def _pool(name: str, members) -> ResourcePool:
+    """A pool of timelines holding ``(frontier, busy, reservations)`` members."""
+    pool = ResourcePool(len(members), name)
+    for timeline, (free, busy, count) in zip(pool, members):
+        timeline.next_free_us, timeline.busy_us, timeline.reservations = free, busy, count
+    return pool
 
 
 def build_device(config: DeviceConfig) -> EmmcDevice:

@@ -257,3 +257,14 @@ class FaultInjector:
     def erase_fails(self) -> bool:
         """Whether the next block erase fails (one draw)."""
         return self._stream("erase").random() < self.plan.erase_error_rate
+
+    def stream_states(self) -> Dict[str, dict]:
+        """The bit-generator state of every stream drawn from so far.
+
+        Two injectors that made different numbers of draws differ here,
+        even when every draw happened to come out the same way.
+        """
+        return {
+            label: stream.bit_generator.state
+            for label, stream in sorted(self._streams.items())
+        }

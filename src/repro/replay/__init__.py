@@ -1,8 +1,8 @@
 """Vectorized replay fast path for queue_depth=1 replay, open or closed loop.
 
 Every paper experiment replays traces on the same device configuration:
-a single command queue (``queue_depth=1``), no RAM buffer, no fault
-injection.  Arrivals are open loop (recorded times) or closed loop (each
+a single command queue (``queue_depth=1``), no RAM buffer, no
+program/erase fault injection.  Arrivals are open loop (recorded times) or closed loop (each
 paced by the previous completion, the collection methodology).  Under
 those conditions each request's full schedule is fixed at dispatch
 (FIFO, no preemption), so the event kernel
@@ -19,9 +19,9 @@ The fast path is split into:
   the real FTL structures exactly like the kernel would and emits each
   request's flash ops (unit, channel, latency components) as NumPy
   arrays.
-* :mod:`repro.replay.timing` -- the timing pass: replays the kernel's
-  ``max(frontier, earliest)`` reservation arithmetic over the plan
-  arrays, operation by operation, in the exact same IEEE-754 order.
+* :mod:`repro.replay.timing` -- the timing pass: hands each request's
+  op rows to :func:`repro.emmc.reserve.reserve`, the reservation routine
+  the event kernel calls at each dispatch, ECC read retries included.
 * :mod:`repro.replay.engine` -- orchestration: runs both passes, applies
   the resulting device state (stats, queue, power, resource frontiers,
   kernel clock and timers), and assembles the ``ReplayResult`` with a
@@ -36,10 +36,10 @@ against the 57 experiment digests and the frozen goldens.
 
 from .engine import (
     FastPathUnavailable,
+    fallback_reasons,
     fast_replay,
     fast_replay_closed_loop,
     maybe_fast_replay,
-    maybe_fast_replay_closed_loop,
 )
 from .preconditions import REPLAY_FASTPATH_ENV, FastPathDecision, decide
 
@@ -48,8 +48,8 @@ __all__ = [
     "FastPathDecision",
     "FastPathUnavailable",
     "decide",
+    "fallback_reasons",
     "fast_replay",
     "fast_replay_closed_loop",
     "maybe_fast_replay",
-    "maybe_fast_replay_closed_loop",
 ]

@@ -4,16 +4,16 @@
 schedule-arrivals-and-drain loop, and :func:`fast_replay_closed_loop`
 the one for ``Host.replay_closed_loop``'s submit-and-drain loop.  Both
 run the same planner, the same timing pass and the same apply step;
-they differ only in where arrivals come from.  :func:`maybe_fast_replay`
-and :func:`maybe_fast_replay_closed_loop` are the dispatchers the two
-``Host`` entries consult -- they check the ``REPRO_REPLAY_FASTPATH``
-switch and the preconditions, and return ``None`` when the event kernel
-should run instead.
+they differ only in where arrivals come from.  :func:`fallback_reasons`
+is the dispatch decision both ``Host`` entries consult: it checks the
+``REPRO_REPLAY_FASTPATH`` switch and the preconditions, and names why
+the event kernel must run instead (nothing, for the fast path).
 """
 
 from __future__ import annotations
 
 import os
+from typing import Tuple
 
 import numpy as np
 
@@ -37,53 +37,39 @@ class FastPathUnavailable(RuntimeError):
 _NEW_REQUEST = Request.__new__
 
 
-def _use_fast_path(device, trace=None, first_arrival_us=None) -> bool:
-    """Whether to take the fast path: the switch, then the preconditions.
+def fallback_reasons(device, trace=None, first_arrival_us=None) -> Tuple[str, ...]:
+    """Why this replay must run on the event kernel; empty for the fast path.
 
     Consults ``$REPRO_REPLAY_FASTPATH`` (``auto``/``off``/``require``;
-    see :data:`~repro.replay.preconditions.REPLAY_FASTPATH_ENV`) and
-    :func:`~repro.replay.preconditions.decide`; raises
-    :class:`FastPathUnavailable` under ``require`` when ineligible.
+    see :data:`~repro.replay.preconditions.REPLAY_FASTPATH_ENV`) -- ``off``
+    is itself the reason -- then
+    :func:`~repro.replay.preconditions.decide`, and raises
+    :class:`FastPathUnavailable` under ``require`` when ineligible.  A
+    fallback happens *before* the planner touches the FTL, so it leaves
+    the device pristine for the event kernel.
     """
     mode = os.environ.get(REPLAY_FASTPATH_ENV, "").strip().lower() or "auto"
     if mode == "off":
-        return False
+        return (f"{REPLAY_FASTPATH_ENV}=off",)
     if mode not in ("auto", "require"):
         raise ValueError(
             f"unknown {REPLAY_FASTPATH_ENV}={mode!r}: "
             "expected auto, off, or require"
         )
-    decision = decide(device, trace, first_arrival_us=first_arrival_us)
-    if not decision.eligible:
-        if mode == "require":
-            raise FastPathUnavailable(
-                f"{REPLAY_FASTPATH_ENV}={mode} but the fast path is "
-                "ineligible: " + "; ".join(decision.reasons)
-            )
-        return False
-    return True
+    reasons = decide(device, trace, first_arrival_us=first_arrival_us).reasons
+    if reasons and mode == "require":
+        raise FastPathUnavailable(
+            f"{REPLAY_FASTPATH_ENV}={mode} but the fast path is "
+            "ineligible: " + "; ".join(reasons)
+        )
+    return reasons
 
 
 def maybe_fast_replay(device, trace):
-    """The open-loop dispatcher: a ``ReplayResult`` on the fast path, else ``None``.
-
-    Any fallback happens *before* the planner touches the FTL, so a
-    ``None`` return leaves the device pristine for the event kernel.
-    """
-    if not _use_fast_path(device, trace):
+    """The open-loop dispatch: a ``ReplayResult`` on the fast path, else ``None``."""
+    if fallback_reasons(device, trace):
         return None
     return fast_replay(device, trace)
-
-
-def maybe_fast_replay_closed_loop(device, lba, size, ops, gaps_us, synchronous, name):
-    """The closed-loop dispatcher: as :func:`maybe_fast_replay`.
-
-    Its first arrival is 0.0, so that is the arrival the preconditions
-    check against the kernel clock.
-    """
-    if not _use_fast_path(device, first_arrival_us=0.0 if len(ops) else None):
-        return None
-    return fast_replay_closed_loop(device, lba, size, ops, gaps_us, synchronous, name)
 
 
 def fast_replay(device, trace: Trace):
@@ -91,11 +77,12 @@ def fast_replay(device, trace: Trace):
 
     Callers must have checked :func:`repro.replay.preconditions.decide`
     first; this function assumes eligibility.  On return the device --
-    stats, FTL, admission queue, power model, resource timelines, kernel
-    clock and re-armed timers -- is in the state a kernel replay would
-    have left, except for the kernel's event-counter telemetry
-    (``processed``/``scheduled``/``cancellations``/seq numbers), which
-    count events that deliberately never existed.
+    stats, FTL, admission queue, power model, resource frontiers, fault
+    streams, kernel clock and re-armed timers -- is in the state a kernel
+    replay would have left, except for the kernel's event-counter
+    telemetry (``processed``/``scheduled``/``cancellations``/seq
+    numbers), which count events that deliberately never existed -- the
+    ``FAULT_RETRY`` events of read retries among them.
     """
     from repro.emmc.device import ReplayResult  # local: avoids cycle
 
@@ -222,6 +209,8 @@ def _timed_columns(arrival_arr, dispatch_arr, finish_arr, stream) -> TraceColumn
 def _apply(device, plan, outcome, arrival_arr):
     """Fold a plan and its timing outcome into the device; the shared apply step.
 
+    The resource frontiers are already in ``device.timing``, which the
+    timing pass advanced; its accumulators go back to the stats here.
     Returns the dispatch and finish columns.
     """
     stats = device.stats
@@ -249,14 +238,12 @@ def _apply(device, plan, outcome, arrival_arr):
         stats.page_reads[kind] = stats.page_reads.get(kind, 0) + count
     for kind, count in plan.page_programs.items():
         stats.page_programs[kind] = stats.page_programs.get(kind, 0) + count
-    stats.erases = outcome.erases
+    device.timing.store(stats)
     stats.active_idle_us = outcome.active_idle_us
     stats.low_power_us = outcome.low_power_us
-    stats.busy_read_us = outcome.busy_read_us
-    stats.busy_program_us = outcome.busy_program_us
-    stats.busy_erase_us = outcome.busy_erase_us
-    stats.busy_transfer_us = outcome.busy_transfer_us
     stats.wakeups = outcome.wakeups
+    if device.faults is not None:
+        device._sync_fault_stats()
 
     queue = device.queue
     queue._busy_until_us = outcome.busy_until_us
@@ -270,19 +257,6 @@ def _apply(device, plan, outcome, arrival_arr):
     power.wakeups = outcome.wakeups
     power.mode_switches = outcome.mode_switches
     power.low_power_entries = outcome.low_power_entries
-
-    controller = device.controller
-    controller.next_free_us = outcome.controller_next_free_us
-    controller.busy_us = outcome.controller_busy_us
-    controller.reservations = outcome.controller_reservations
-    for index, timeline in enumerate(device.channels):
-        timeline.next_free_us = outcome.channel_next_free_us[index]
-        timeline.busy_us = outcome.channel_busy_us[index]
-        timeline.reservations = outcome.channel_reservations[index]
-    for index, timeline in enumerate(device.units):
-        timeline.next_free_us = outcome.unit_next_free_us[index]
-        timeline.busy_us = outcome.unit_busy_us[index]
-        timeline.reservations = outcome.unit_reservations[index]
 
     # Kernel end state: the clock sits at the last COMPLETE event (the
     # final finish -- finishes are monotone at depth 1), the arrival-time

@@ -6,8 +6,10 @@ every piece of state a replay can touch through public views:
 
 * every ``DeviceStats`` field (float lists element for element);
 * the admission queue, the power model, the controller / channel / unit
-  timelines, the kernel clock, its pending-event count and the pending
-  power-down deadline;
+  frontiers of the device's timing state, the kernel clock, its
+  pending-event count and the pending power-down deadline;
+* the bit-generator state of each fault-injector stream, so a different
+  number of draws is a difference even when the draws agree;
 * the FTL: the decoded LPN mapping, one row per block (erase count,
   write pointer, valid count, bad flag and the slots of its written
   pages), the free-list order and active block of every pool, the
@@ -55,9 +57,10 @@ def snapshot(device, result=None) -> State:
         power.mode_switches,
         power.low_power_entries,
     )
-    state["controller"] = _timeline(device.controller)
-    state["channels"] = [_timeline(timeline) for timeline in device.channels]
-    state["units"] = [_timeline(timeline) for timeline in device.units]
+    for name, value in device.timing.resources().items():
+        state[f"timing.{name}"] = value
+    if device.faults is not None:
+        state["faults.streams"] = device.faults.stream_states()
     state["clock"] = device.kernel.now_us
     state["pending_events"] = len(device.kernel)
     timer = device._power_down_timer
@@ -74,10 +77,6 @@ def snapshot(device, result=None) -> State:
         for name in TRACE_COLUMNS:
             state[f"trace.columns.{name}"] = np.array(getattr(columns, name))
     return state
-
-
-def _timeline(timeline):
-    return (timeline.next_free_us, timeline.busy_us, timeline.reservations)
 
 
 def compare(a: State, b: State, label: str = "") -> List[str]:

@@ -1,10 +1,14 @@
 """Eligibility rules for the replay fast path.
 
 The two-pass engine models exactly one device behaviour: ``queue_depth=1``
-FIFO service with no RAM buffer, no fault injection, no idle-time GC, no
-copy-back programming, page mapping, and a kernel that holds nothing but
-the device's own speculative timers.  Everything else falls back to the
-event kernel -- correctness first, speed second.
+FIFO service with no RAM buffer, no program/erase fault injection, no
+idle-time GC, page mapping, and a kernel that holds nothing but the
+device's own speculative timers.  Transient read faults and copy-back GC
+are modeled: both engines reserve op rows through one routine
+(:func:`repro.emmc.reserve.reserve`), whose ECC-retry branch draws the
+read faults and whose rows carry the GC flag copy-back needs.
+Everything else falls back to the event kernel -- correctness first,
+speed second.
 
 The decision is pure (no device mutation) and cheap enough to run on
 every ``Host.replay`` and ``Host.replay_closed_loop`` call.
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 #: Environment switch for the dispatcher (read by
-#: :func:`repro.replay.engine.maybe_fast_replay`); exactly three values:
+#: :func:`repro.replay.engine.fallback_reasons`); exactly three values:
 #:
 #: * ``auto`` (also unset or empty) -- use the fast path when eligible,
 #:   fall back to the event kernel otherwise;
@@ -54,12 +58,13 @@ def decide(device, trace=None, first_arrival_us=None) -> FastPathDecision:
         reasons.append(f"queue_depth={config.queue_depth} (fast path models depth 1)")
     if device.buffer is not None:
         reasons.append("RAM buffer attached (absorption/eviction is event-driven)")
-    if device.faults is not None:
-        reasons.append("fault injection armed (retries schedule kernel events)")
+    faults = device.faults
+    if faults is not None and (faults.program_active or faults.erase_active):
+        reasons.append(
+            "program/erase fault injection armed (failures fire inside Ftl.write)"
+        )
     if config.idle_gc:
         reasons.append("idle-time GC enabled (IDLE_GC timers fire between requests)")
-    if config.gc_copyback:
-        reasons.append("copy-back GC programs skip the channel (not planned)")
     if config.mapping_scheme != "page":
         reasons.append(f"mapping scheme {config.mapping_scheme!r} (fast path walks the page FTL)")
     kernel = device.kernel

@@ -1,28 +1,32 @@
 """Timing pass: the kernel's reservation arithmetic over the plan arrays.
 
-This pass is a pure function of the device's current timing state (queue
-busy-until, power idle clock, resource frontiers, accumulated busy-time
-floats) and the :class:`~repro.replay.planner.ReplayPlan`: it computes
-every request's dispatch and finish timestamps plus the final state,
-without mutating the device.  The engine applies the outcome afterwards.
+This pass walks the :class:`~repro.replay.planner.ReplayPlan` request by
+request and computes every dispatch and finish timestamp.  It hands each
+request's op rows to :func:`repro.emmc.reserve.reserve`, the routine the
+event kernel's ``EmmcDevice._schedule`` calls at each dispatch, on the
+device's own :class:`~repro.emmc.reserve.TimingState`, with the device's
+read-fault injector.  So the reservations, the busy-time accumulators
+and the ECC retries (one ``read_failures()`` draw per read row, GC reads
+included, in op order) are the kernel's by construction.  What is left
+here is the arithmetic around the reservation -- admission, idle-gap
+accounting, wake-ups and the power-down timer -- which the engine's
+apply step folds into the device afterwards, together with the state's
+accumulators.
 
 Exactness contract
 ------------------
 
 Floating-point addition is not associative, so this loop re-performs the
-kernel's arithmetic *operation by operation* in the same order:
+kernel's per-request arithmetic *operation by operation* in the same
+order:
 
-* ``dispatch = max(arrival, busy_until)`` and every
-  ``start = max(frontier, earliest)`` are selections -- they introduce no
-  new rounding, only choose an existing float -- so carrying frontiers as
-  scalars is exact;
-* within a request, each op's chain (controller issue -> unit -> channel,
-  or controller -> channel -> unit for programs) mirrors
-  :meth:`EmmcDevice._schedule` including the order of ``+`` operations;
-* busy-time accumulators (``busy_read_us``,
-  ``busy_transfer_us += transfer_end - transfer_start``, idle-gap splits)
-  are accumulated in the same per-op / per-request order the kernel uses,
-  starting from the device's current values.
+* ``dispatch = max(arrival, busy_until)`` is a selection -- it
+  introduces no new rounding, only chooses an existing float -- so
+  carrying it as a scalar is exact;
+* the idle-gap split (``active_idle_us``, ``low_power_us``) is
+  accumulated in the same per-request order the kernel uses, starting
+  from the device's current values;
+* everything per op is the shared routine.
 
 The POWER_DOWN timer needs no heap: at ``queue_depth=1`` the timer armed
 after request *i* fires iff its deadline (``last_activity_end +
@@ -58,14 +62,22 @@ arithmetic is bit-identical to the scalar expressions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.emmc.reserve import reserve
+
 
 @dataclass
 class TimingOutcome:
-    """Timestamps plus the final device timing state (absolute values)."""
+    """Timestamps plus the final queue and power state (absolute values).
+
+    The resource frontiers and the busy, erase and fault accumulators are
+    in the device's :class:`~repro.emmc.reserve.TimingState`, which the
+    pass advances in place.
+    """
 
     #: The input arrivals (open loop) or the recurrence's (closed loop).
     arrival_us: List[float]
@@ -83,25 +95,9 @@ class TimingOutcome:
     mode_switches: int
     low_power_entries: int
 
-    # DeviceStats float accumulators (absolute, already folded in).
+    # DeviceStats idle-gap accumulators (absolute, already folded in).
     active_idle_us: float
     low_power_us: float
-    busy_read_us: float
-    busy_program_us: float
-    busy_erase_us: float
-    busy_transfer_us: float
-    erases: int
-
-    # Resource timelines.
-    controller_next_free_us: float
-    controller_busy_us: float
-    controller_reservations: int
-    channel_next_free_us: List[float]
-    channel_busy_us: List[float]
-    channel_reservations: List[int]
-    unit_next_free_us: List[float]
-    unit_busy_us: List[float]
-    unit_reservations: List[int]
 
 
 def compute_timing(
@@ -111,15 +107,17 @@ def compute_timing(
     gaps_us: Optional[Sequence[float]] = None,
     synchronous: Optional[Sequence[bool]] = None,
 ) -> TimingOutcome:
-    """Run the timing pass; reads device state, never mutates it.
+    """Run the timing pass over ``plan``.
 
-    Open loop passes ``arrival_us``.  Closed loop passes ``None`` there
-    plus the ``n - 1`` think-time ``gaps_us`` and ``synchronous`` flags;
-    each arrival is then computed from the previous completion (see
-    *Closed loop* in the module docstring).
+    Advances ``device.timing`` (with the accumulators loaded from the
+    device's stats) and draws the device's read faults; everything else
+    comes back in the outcome for the engine to apply.  Open loop passes
+    ``arrival_us``.  Closed loop passes ``None`` there plus the ``n - 1``
+    think-time ``gaps_us`` and ``synchronous`` flags; each arrival is
+    then computed from the previous completion (see *Closed loop* in the
+    module docstring).
     """
     latency = device.latency
-    ftl_overhead = latency.ftl_overhead_us
     command_overhead = latency.command_overhead_us
     threshold = latency.power_threshold_us
     warmup = latency.warmup_us
@@ -139,37 +137,26 @@ def compute_timing(
     timer_pending = timer is not None and not timer.canceled
     timer_deadline = timer.time_us if timer_pending else 0.0
 
-    controller = device.controller
-    ctrl_free = controller.next_free_us
-    ctrl_busy = controller.busy_us
-    ctrl_count = controller.reservations
-    ch_free = [timeline.next_free_us for timeline in device.channels]
-    ch_busy = [timeline.busy_us for timeline in device.channels]
-    ch_count = [timeline.reservations for timeline in device.channels]
-    unit_free = [timeline.next_free_us for timeline in device.units]
-    unit_busy = [timeline.busy_us for timeline in device.units]
-    unit_count = [timeline.reservations for timeline in device.units]
-
     stats = device.stats
     active_idle = stats.active_idle_us
     low_power_us = stats.low_power_us
-    busy_read = stats.busy_read_us
-    busy_program = stats.busy_program_us
-    busy_erase = stats.busy_erase_us
-    busy_transfer = stats.busy_transfer_us
-    erases = stats.erases
+    state = device.timing
+    state.load(stats)
+    faults = device.read_faults
 
-    # Ops are consumed strictly in order, so the hot loop unpacks one
-    # tuple per op straight from a zip over the .tolist() columns: a
-    # single C-level call instead of five list indexings, and no list of
-    # per-op tuples (zip reuses its result tuple once it is unpacked).
-    next_op = zip(
+    # One op row per flash op, (kind, unit, channel, unit_us, transfer_us,
+    # gc), consumed strictly in order: request i takes the next
+    # req_ops[i + 1] - req_ops[i] rows.  The rows stream out of one zip
+    # over the .tolist() columns, never a list of per-op tuples (zip
+    # reuses its result tuple once the routine has unpacked it).
+    rows = zip(
         plan.op_kind.tolist(),
         plan.op_unit.tolist(),
-        plan.op_unit_us.tolist(),
         plan.op_channel.tolist(),
+        plan.op_unit_us.tolist(),
         plan.op_transfer_us.tolist(),
-    ).__next__
+        plan.op_gc.tolist(),
+    )
     req_ops = plan.req_ops.tolist()
     closed_loop = arrival_us is None
     if closed_loop:
@@ -234,66 +221,8 @@ def compute_timing(
         if position == boundary:
             finish = start + command_overhead  # _absorbed_latency, no buffer
         else:
-            finish = start
-            while position < boundary:
-                # Controller reservation: earliest is always the request
-                # start (the kernel passes `start` for every op).
-                issue_start = ctrl_free if ctrl_free > start else start
-                issue = issue_start + ftl_overhead
-                ctrl_free = issue
-                ctrl_busy += ftl_overhead
-                ctrl_count += 1
-                kind, unit, unit_duration, channel, transfer = next_op()
-                if kind == 1:  # PROGRAM: channel from issue, unit after.
-                    t_start = ch_free[channel]
-                    if t_start < issue:
-                        t_start = issue
-                    t_end = t_start + transfer
-                    ch_free[channel] = t_end
-                    ch_busy[channel] += transfer
-                    ch_count[channel] += 1
-                    u_start = unit_free[unit]
-                    if u_start < t_end:
-                        u_start = t_end
-                    u_end = u_start + unit_duration
-                    unit_free[unit] = u_end
-                    unit_busy[unit] += unit_duration
-                    unit_count[unit] += 1
-                    busy_transfer += t_end - t_start
-                    busy_program += unit_duration
-                    op_finish = u_end
-                elif kind == 0:  # READ: unit from issue, channel after.
-                    u_start = unit_free[unit]
-                    if u_start < issue:
-                        u_start = issue
-                    u_end = u_start + unit_duration
-                    unit_free[unit] = u_end
-                    unit_busy[unit] += unit_duration
-                    unit_count[unit] += 1
-                    t_start = ch_free[channel]
-                    if t_start < u_end:
-                        t_start = u_end
-                    t_end = t_start + transfer
-                    ch_free[channel] = t_end
-                    ch_busy[channel] += transfer
-                    ch_count[channel] += 1
-                    busy_transfer += t_end - t_start
-                    busy_read += unit_duration
-                    op_finish = t_end
-                else:  # ERASE: unit only.
-                    u_start = unit_free[unit]
-                    if u_start < issue:
-                        u_start = issue
-                    u_end = u_start + unit_duration
-                    unit_free[unit] = u_end
-                    unit_busy[unit] += unit_duration
-                    unit_count[unit] += 1
-                    erases += 1
-                    busy_erase += unit_duration
-                    op_finish = u_end
-                if op_finish > finish:
-                    finish = op_finish
-                position += 1
+            finish = reserve(state, islice(rows, boundary - position), start, faults)
+            position = boundary
 
         # Post-serve bookkeeping: queue, power, re-armed timer.
         if finish > busy_until:
@@ -318,18 +247,4 @@ def compute_timing(
         low_power_entries=low_power_entries,
         active_idle_us=active_idle,
         low_power_us=low_power_us,
-        busy_read_us=busy_read,
-        busy_program_us=busy_program,
-        busy_erase_us=busy_erase,
-        busy_transfer_us=busy_transfer,
-        erases=erases,
-        controller_next_free_us=ctrl_free,
-        controller_busy_us=ctrl_busy,
-        controller_reservations=ctrl_count,
-        channel_next_free_us=ch_free,
-        channel_busy_us=ch_busy,
-        channel_reservations=ch_count,
-        unit_next_free_us=unit_free,
-        unit_busy_us=unit_busy,
-        unit_reservations=unit_count,
     )

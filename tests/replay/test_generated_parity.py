@@ -3,9 +3,11 @@
 Fixed grids (``test_parity.py``) cover the paper's workloads; this suite
 draws the inputs instead.  Hypothesis picks a small geometry -- 1-2
 channels, 1-2 planes per die, 6-24 blocks per kind, 4-32 pages per
-block, a GC threshold of 1-3, a 4PS/8PS/HPS mix and ``multi_plane`` --
-and a seed for a hidden-state request generator, after Harrison et
-al.'s hidden-Markov storage workloads.  Its states emit the shapes that
+block, a GC threshold of 1-3, a 4PS/8PS/HPS mix, ``multi_plane`` and
+``gc_copyback`` -- a transient read-fault plan (error rate 0, 0.05, 0.3
+or 0.6, a retry limit of 0-3, no backoff or 37.5-200 us), and a seed for
+a hidden-state request generator, after Harrison et al.'s hidden-Markov
+storage workloads.  Its states emit the shapes that
 independent random draws rarely reach:
 
 * rewrite bursts over a small hot set (stale-copy invalidation, GC);
@@ -19,9 +21,10 @@ independent random draws rarely reach:
   strict ``<``.
 
 Every example replays on both engines, open and closed loop.  They must
-end in equal full-state snapshots, with the FTL invariants intact, or
-both raise :class:`OutOfSpaceError` (the fill level runs some examples
-past the device's capacity on purpose).
+end in equal full-state snapshots -- the fault injector's stream state
+included, so both engines must draw exactly as often -- with the FTL
+invariants intact, or both raise :class:`OutOfSpaceError` (the fill
+level runs some examples past the device's capacity on purpose).
 """
 
 import os
@@ -34,6 +37,7 @@ from hypothesis import strategies as st
 
 from repro.emmc import EmmcDevice, Geometry, OutOfSpaceError, PageKind
 from repro.emmc.device import DeviceConfig
+from repro.faults import FaultPlan
 from repro.replay import REPLAY_FASTPATH_ENV
 from repro.replay.parity import compare, snapshot
 from repro.sim import Host
@@ -70,6 +74,19 @@ def configs(draw):
         geometry=geometry,
         gc_threshold_blocks=draw(st.integers(1, 3)),
         multi_plane=draw(st.booleans()),
+        gc_copyback=draw(st.booleans()),
+    )
+
+
+@st.composite
+def read_fault_plans(draw):
+    return FaultPlan(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        read_error_rate=draw(st.sampled_from((0.0, 0.05, 0.3, 0.6))),
+        read_retry_limit=draw(st.integers(0, 3)),
+        read_retry_backoff_us=draw(
+            st.one_of(st.just(0.0), st.floats(37.5, 200.0))
+        ),
     )
 
 
@@ -130,15 +147,16 @@ def hidden_state_requests(config, seed, fill, count):
     return rows
 
 
-def open_loop_trace(config, rows):
+def open_loop_trace(config, plan, rows):
     """The rows as an open-loop trace.
 
     An IDLE row arrives exactly at the power-down deadline its
-    predecessor leaves behind.  The deadline comes from a pacing device
-    fed one request at a time on the event kernel; if the pacer runs out
-    of space, later IDLE rows fall back to their plain gap.
+    predecessor leaves behind.  The deadline comes from a pacing device,
+    under the same fault plan, fed one request at a time on the event
+    kernel; if the pacer runs out of space, later IDLE rows fall back to
+    their plain gap.
     """
-    pacer = EmmcDevice(config)
+    pacer = EmmcDevice(config, faults=plan)
     pacing = True
     arrival = 0.0
     requests = []
@@ -170,18 +188,18 @@ def _engine(mode):
             os.environ[REPLAY_FASTPATH_ENV] = saved
 
 
-def _replay(config, mode, call):
+def _replay(config, plan, mode, call):
     with _engine(mode):
-        device = EmmcDevice(config)
+        device = EmmcDevice(config, faults=plan)
         try:
             return device, call(Host(device))
         except OutOfSpaceError:
             return device, None
 
 
-def _assert_engines_agree(config, call):
-    kernel_device, kernel_result = _replay(config, "off", call)
-    fast_device, fast_result = _replay(config, "require", call)
+def _assert_engines_agree(config, plan, call):
+    kernel_device, kernel_result = _replay(config, plan, "off", call)
+    fast_device, fast_result = _replay(config, plan, "require", call)
     if kernel_result is None or fast_result is None:
         assert kernel_result is None and fast_result is None
         return
@@ -194,6 +212,7 @@ def _assert_engines_agree(config, call):
 
 EXAMPLE = dict(
     config=configs(),
+    plan=read_fault_plans(),
     seed=st.integers(0, 2**32 - 1),
     fill=st.sampled_from((0.25, 0.5, 0.8, 1.1)),
     count=st.integers(10, 150),
@@ -205,14 +224,15 @@ SETTINGS = settings(
 
 @given(**EXAMPLE)
 @SETTINGS
-def test_open_loop_engines_agree(config, seed, fill, count):
-    trace = open_loop_trace(config, hidden_state_requests(config, seed, fill, count))
-    _assert_engines_agree(config, lambda host: host.replay(trace))
+def test_open_loop_engines_agree(config, plan, seed, fill, count):
+    rows = hidden_state_requests(config, seed, fill, count)
+    trace = open_loop_trace(config, plan, rows)
+    _assert_engines_agree(config, plan, lambda host: host.replay(trace))
 
 
 @given(**EXAMPLE)
 @SETTINGS
-def test_closed_loop_engines_agree(config, seed, fill, count):
+def test_closed_loop_engines_agree(config, plan, seed, fill, count):
     rows = hidden_state_requests(config, seed, fill, count)
     lba = np.array([lpn * SECTOR for _, lpn, _, _, _, _ in rows], dtype=np.int64)
     size = np.array([pages * SECTOR for _, _, pages, _, _, _ in rows], dtype=np.int64)
@@ -221,5 +241,6 @@ def test_closed_loop_engines_agree(config, seed, fill, count):
     synchronous = [idle or sync for _, _, _, _, idle, sync in rows[1:]]
     _assert_engines_agree(
         config,
+        plan,
         lambda host: host.replay_closed_loop(lba, size, ops, gaps, synchronous),
     )

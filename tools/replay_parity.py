@@ -1,11 +1,14 @@
 """Exhaustive full-state parity sweep: replay fast path vs event kernel.
 
 Replays six representative traces on the four full-size and three small
-device configs twice -- ``REPRO_REPLAY_FASTPATH=off`` then ``require``
--- and diffs the whole device with :mod:`repro.replay.parity`: every
-``DeviceStats`` field, admission queue, power model, timelines, kernel
-clock, the FTL's mapping, blocks, pools, cursor and GC totals, the
-returned timed requests, and the columns of the returned trace
+device configs, plus a copy-back variant of each small config, twice --
+``REPRO_REPLAY_FASTPATH=off`` then ``require`` -- fault-free and under
+two transient read-fault plans (the ``transient-reads`` profile and a
+0.5 error rate), and diffs the whole device with
+:mod:`repro.replay.parity`: every ``DeviceStats`` field, admission
+queue, power model, resource frontiers, fault-injector stream states,
+kernel clock, the FTL's mapping, blocks, pools, cursor and GC totals,
+the returned timed requests, and the columns of the returned trace
 (arrival, service start and completion times included).  Any mismatch
 prints the first diverging element and the two values::
 
@@ -34,15 +37,24 @@ from repro.emmc.configs import (
     small_four_ps,
     small_hps,
 )
+from repro.faults import FaultPlan
 from repro.replay.parity import compare, snapshot
 from repro.sim import Host
 from repro.workloads import generate_trace
 
 
-def run(config, trace, mode):
+#: (label suffix, fault plan): fault-free, then two read-fault plans.
+PLANS = [
+    ("", None),
+    ("/transient-reads", FaultPlan.profile("transient-reads", seed=7)),
+    ("/read-0.5", FaultPlan(seed=7, read_error_rate=0.5)),
+]
+
+
+def run(config, trace, plan, mode):
     """Replay on a fresh device; ``(device, result, seconds)``, or no result."""
     os.environ["REPRO_REPLAY_FASTPATH"] = mode
-    device = EmmcDevice(config)
+    device = EmmcDevice(config, faults=plan)
     start = time.perf_counter()
     try:
         result = Host(device).replay(trace.without_timing())
@@ -54,6 +66,10 @@ def run(config, trace, mode):
 def main():
     full = [four_ps(), eight_ps(), hps(), hps_slc()]
     small = [small_four_ps(), small_eight_ps(), small_hps()]
+    small += [
+        config.with_overrides(name=f"{config.name}-copyback", gc_copyback=True)
+        for config in small
+    ]
     apps = ["Twitter", "CameraVideo", "Booting", "Email", "Idle", "WebBrowsing"]
     total_bad = 0
     for app in apps:
@@ -61,32 +77,37 @@ def main():
         small_trace = generate_trace(app, seed=7, num_requests=1200)
         for config in full + small:
             trace = big_trace if config in full else small_trace
-            label = f"{app}/{config.name}"
-            kernel_device, kernel_result, kernel_s = run(config, trace, "off")
-            if kernel_result is None:
-                print(f"SKIP {label}: out of space on kernel path")
-                continue
-            fast_device, fast_result, fast_s = run(config, trace, "require")
-            if fast_result is None:
-                print(f"BAD {label}: fast path ran out of space, kernel did not")
-                total_bad += 1
-                continue
-            diffs = compare(
-                snapshot(kernel_device, kernel_result),
-                snapshot(fast_device, fast_result),
-                label,
-            )
-            for line in diffs:
-                print(f"  DIFF {line}")
-            total_bad += len(diffs)
-            status = "OK " if not diffs else "BAD"
-            print(
-                f"{status} {label}: kernel {kernel_s*1e3:7.1f} ms, "
-                f"fast {fast_s*1e3:7.1f} ms ({kernel_s/max(fast_s, 1e-9):5.1f}x)"
-                f"  gc={kernel_device.stats.gc_collections}"
-            )
+            for suffix, plan in PLANS:
+                total_bad += check(f"{app}/{config.name}{suffix}", config, trace, plan)
     print("TOTAL DIFFS:", total_bad)
     return 1 if total_bad else 0
+
+
+def check(label, config, trace, plan):
+    """Replay on both engines and print one status line; returns the diff count."""
+    kernel_device, kernel_result, kernel_s = run(config, trace, plan, "off")
+    if kernel_result is None:
+        print(f"SKIP {label}: out of space on kernel path")
+        return 0
+    fast_device, fast_result, fast_s = run(config, trace, plan, "require")
+    if fast_result is None:
+        print(f"BAD {label}: fast path ran out of space, kernel did not")
+        return 1
+    diffs = compare(
+        snapshot(kernel_device, kernel_result),
+        snapshot(fast_device, fast_result),
+        label,
+    )
+    for line in diffs:
+        print(f"  DIFF {line}")
+    status = "OK " if not diffs else "BAD"
+    stats = kernel_device.stats
+    print(
+        f"{status} {label}: kernel {kernel_s*1e3:7.1f} ms, "
+        f"fast {fast_s*1e3:7.1f} ms ({kernel_s/max(fast_s, 1e-9):5.1f}x)"
+        f"  gc={stats.gc_collections} retries={stats.read_retries}"
+    )
+    return len(diffs)
 
 
 if __name__ == "__main__":
