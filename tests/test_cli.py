@@ -199,3 +199,13 @@ class TestStore:
         # Seven-row chunks: the fold carries state across chunk boundaries.
         assert main(["store", "stats", str(store), "--chunk-rows", "7"]) == 0
         assert capsys.readouterr().out == batch
+
+
+class TestReplay:
+    def test_prints_the_engine_and_why_it_served(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_REPLAY_FASTPATH", raising=False)
+        assert main(["replay", "Twitter", "--requests", "60"]) == 0
+        out = capsys.readouterr().out
+        # The telemetry sink pins the event kernel; the row says so.
+        assert "Engine" in out
+        assert "kernel: telemetry sink attached" in out
