@@ -1,4 +1,4 @@
-"""Serially-reusable resources: the timing primitive of the device model.
+"""Serially-reusable resources: a reservation frontier per resource.
 
 A :class:`ResourceTimeline` models one resource that serves at most one
 operation at a time -- the eMMC controller, one channel bus, one die (or
@@ -7,12 +7,11 @@ arrival order with no preemption:
 
     ``start = max(next_free, earliest)``; ``next_free = start + duration``
 
-This is exactly the ``max()`` arithmetic the old ``EmmcDevice._schedule``
-inlined for its ``_controller_avail`` / ``_channel_avail[i]`` /
-``_unit_avail[i]`` floats -- extracting it verbatim is what keeps the
-refactor bit-identical -- but the timeline additionally accumulates busy
-time and reservation counts, giving per-resource utilization telemetry
-for free.
+and the timeline accumulates busy time and reservation counts.  The
+device model keeps the same frontiers in flat columns
+(:class:`repro.emmc.reserve.TimingState`), which both replay engines
+reserve on; its ``controller``/``channels``/``units`` read them back as
+timelines.
 
 Under FIFO no-preemption service (the paper's eMMC: a single command
 queue, sub-requests served in order), reserving eagerly at request

@@ -28,9 +28,9 @@ rounding residual until the ordered sum lands exactly on
 response time -- nanoseconds against microsecond-scale components --
 and converges in one or two iterations (an assertion guards the theory).
 
-The input is the list of per-op *legs* the device's ``_schedule``
-records while reserving resource windows (see the ``L_*`` layout
-below); the decomposition walks the **critical op** -- the one whose
+The input is the list of per-op *legs* :func:`repro.emmc.reserve.reserve`
+records for the device's ``_schedule`` while reserving resource windows
+(see the ``L_*`` layout below); the decomposition walks the **critical op** -- the one whose
 finish is the request's finish -- and attributes each wait/busy window
 along its chain.  At ``queue_depth=1`` each window's cause is the named
 resource itself; at higher depths a wait may be induced by another
@@ -47,7 +47,7 @@ from typing import List, Optional, Sequence, Tuple
 COMPONENTS = ("queue", "wake", "controller", "channel", "unit", "gc", "retry")
 
 #: Leg tuple layout, one per flash op, recorded by
-#: ``EmmcDevice._schedule``:
+#: :func:`repro.emmc.reserve.reserve`:
 #: ``(gc, code, die, channel_index, issue_start, issue, unit_window,
 #: transfer_window, retry_windows, op_finish)`` where the windows are
 #: ``(start, end)`` pairs (``transfer_window`` is ``None`` for copyback
