@@ -1,7 +1,7 @@
 """Event-kernel benchmark: Host replay throughput on the eMMC device.
 
 The discrete-event refactor routes every request through the shared
-``EventLoop`` (arrival event, admission queue, resource timelines,
+``EventLoop`` (arrival event, admission queue, resource frontiers,
 completion event, idle timers).  This benchmark times a full-stack replay
 of generated traces through :class:`repro.sim.Host` and asserts the two
 properties that justify the kernel:

@@ -5,7 +5,7 @@ The package has eleven subsystems (see DESIGN.md):
 
 * :mod:`repro.trace` -- block-level I/O trace model and serialization;
 * :mod:`repro.sim` -- the shared discrete-event kernel (clock, event
-  loop, resource timelines, admission queue, host);
+  loop, host);
 * :mod:`repro.workloads` -- the 25 calibrated synthetic traces;
 * :mod:`repro.android` -- a simulated Android I/O stack with BIOtracer;
 * :mod:`repro.emmc` -- the event-driven eMMC simulator with the HPS scheme;

@@ -29,7 +29,6 @@ from .geometry import Geometry, PageKind
 from .structure import capacity_matches, describe_die, plane_layout
 from .latency import LatencyParams, PageTiming, TABLE_V_TIMINGS
 from .ops import FlashOp, FlashOpType, WriteGroup
-from .power import PowerModel, PowerState
 from .stats import DeviceStats
 
 __all__ = [
@@ -72,7 +71,5 @@ __all__ = [
     "FlashOp",
     "FlashOpType",
     "WriteGroup",
-    "PowerModel",
-    "PowerState",
     "DeviceStats",
 ]

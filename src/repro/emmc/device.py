@@ -14,12 +14,14 @@ Structure (one :class:`repro.sim.EventLoop` per device):
 * Host requests enter as ``ARRIVAL`` events (:meth:`EmmcDevice.arrive`);
   the synchronous :meth:`submit` is a thin closed-loop wrapper that runs
   the kernel up to the arrival instant.
-* Admission (who may dispatch when) lives in
-  :class:`repro.sim.AdmissionQueue`, parameterized by ``queue_depth``.
-* The timing engine reserves windows on serially-reusable resources --
-  one controller, one per channel, one per die (or per plane with
-  ``multi_plane``) -- through :func:`repro.emmc.reserve.reserve`, the
-  op-row arithmetic the replay fast path runs too.
+* Each request is served by the routines of :mod:`repro.emmc.reserve`
+  on the device's :class:`~repro.emmc.reserve.TimingState`, the serve
+  step the replay fast path runs too: :func:`~repro.emmc.reserve.admit`
+  (admission at ``queue_depth`` slots, the idle-gap split and the
+  wake-up charge), :func:`~repro.emmc.reserve.reserve` (windows on the
+  serially-reusable resources -- one controller, one per channel, one
+  per die, or per plane with ``multi_plane``) and
+  :func:`~repro.emmc.reserve.complete`.
 * Idle-time GC and the power-down transition are ``IDLE_GC`` /
   ``POWER_DOWN`` timer events armed after every request and canceled by
   the next arrival, instead of gap checks bolted onto the next dispatch.
@@ -37,15 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
-from repro.sim import (
-    AdmissionQueue,
-    Event,
-    EventKind,
-    EventLoop,
-    Host,
-    ResourcePool,
-    ResourceTimeline,
-)
+from repro.sim import Event, EventKind, EventLoop, Host
 from repro.telemetry import Telemetry
 from repro.telemetry.decomposition import decompose_request
 from repro.trace import Request, SECTOR, Trace
@@ -56,8 +50,7 @@ from .ftl import Ftl, GreedyGC, StaticWearLeveler, VictimPolicy, WriteOutcome
 from .geometry import Geometry, PageKind
 from .latency import LatencyParams
 from .ops import FlashOp, FlashOpType
-from .power import PowerModel
-from .reserve import OpRows, TimingState, reserve
+from .reserve import OpRows, TimingState, admit, complete, power_down, reserve
 from .stats import DeviceStats
 
 
@@ -203,10 +196,6 @@ class EmmcDevice:
         else:
             raise ValueError(f"unknown mapping scheme {config.mapping_scheme!r}")
         self.distributor = RequestDistributor(self.geometry.kinds())
-        self.power = PowerModel(
-            power_threshold_us=config.latency.power_threshold_us,
-            warmup_us=config.latency.warmup_us,
-        )
         self.buffer: Optional[RamBuffer] = (
             RamBuffer(config.ram_buffer_bytes) if config.ram_buffer_bytes else None
         )
@@ -217,16 +206,18 @@ class EmmcDevice:
         #: kernel between a device and its producers (the Android stack,
         #: concurrent app mixes) is what serializes out-of-order arrivals.
         self.kernel = kernel if kernel is not None else EventLoop()
-        #: Host-interface admission: ``queue_depth`` slots.
-        self.queue = AdmissionQueue(config.queue_depth)
-        #: Frontiers of the controller (a single serialized resource), each
-        #: channel bus and each busy unit -- dies, or planes with
-        #: multi_plane -- shared with the replay fast path.
+        #: The serve step's state, shared with the replay fast path: the
+        #: ``queue_depth``-slot admission queue, the power state, and the
+        #: frontiers of the controller (a single serialized resource), each
+        #: channel bus and each busy unit -- dies, or planes with multi_plane.
         self.timing = TimingState(
             self.geometry.channels,
             self.geometry.num_planes if config.multi_plane else self.geometry.num_dies,
             config.latency.ftl_overhead_us,
             config.gc_copyback,
+            config.queue_depth,
+            config.latency.power_threshold_us,
+            config.latency.warmup_us,
         )
         self._unit_name = "plane" if config.multi_plane else "die"
         #: FlashOps -> op rows, for the kernel and the planner's fallbacks.
@@ -245,21 +236,6 @@ class EmmcDevice:
         self._idle_gc_timer: Optional[Event] = None
         self._power_down_timer: Optional[Event] = None
         self._arm_activity_timers()
-
-    # Snapshots of :attr:`timing` as timelines (copies: reserving goes
-    # through repro.emmc.reserve).
-
-    @property
-    def controller(self) -> ResourceTimeline:
-        return _pool("controller", [self.timing.resources()["controller"]])[0]
-
-    @property
-    def channels(self) -> ResourcePool:
-        return _pool("channel", self.timing.resources()["channels"])
-
-    @property
-    def units(self) -> ResourcePool:
-        return _pool(self._unit_name, self.timing.resources()["units"])
 
     @property
     def capacity_bytes(self) -> int:
@@ -378,12 +354,13 @@ class EmmcDevice:
         Models what a real eMMC does on the remount after an abrupt power
         loss.  Everything volatile is discarded -- the event kernel (and
         any in-flight arrivals/completions/timers on it), the admission
-        queue, the resource timelines, the RAM buffer's contents and the
-        controller's mapping table -- and the mapping is re-derived by
-        scanning flash (:meth:`Ftl.rebuild_mapping`).  Durable state
-        (block contents, erase counts, bad-block marks, spare accounting)
-        and replay-lifetime telemetry (``DeviceStats``, the fault
-        injector's stream cursors) survive.
+        queue, the low-power flag, the resource frontiers, the RAM
+        buffer's contents and the controller's mapping table -- and the
+        mapping is re-derived by scanning flash
+        (:meth:`Ftl.rebuild_mapping`).  Durable state (block contents,
+        erase counts, bad-block marks, spare accounting) and
+        replay-lifetime telemetry (``DeviceStats``, the low-power entry
+        count, the fault injector's stream cursors) survive.
 
         ``at_us`` is the instant the device is back (defaults to the cut
         instant, i.e. a free remount); callers add their remount latency.
@@ -404,11 +381,10 @@ class EmmcDevice:
         if self.buffer is not None:
             self.buffer.power_cycle()
         self.kernel = self.kernel.successor(resume_us)
-        self.queue = AdmissionQueue(self.config.queue_depth)
-        self.timing.reset()
+        # The remount is activity: the idle clock restarts at the resume.
+        self.timing.reset(resume_us)
         self._idle_gc_timer = None
         self._power_down_timer = None
-        self.power.reset_for_recovery(resume_us)
         self.stats.recoveries += 1
         if self.telemetry is not None:
             # Re-bind the FTL's event clock to the successor kernel and
@@ -430,18 +406,19 @@ class EmmcDevice:
 
     def _serve(self, request: Request) -> Request:
         arrival = request.arrival_us
-        dispatch = self.queue.admit(arrival)
+        timing = self.timing
+        # The accumulators ride in the timing state for the whole serve,
+        # so admit's idle split and wake-up land in what store() writes.
+        timing.load(self.stats)
+        dispatch, start = admit(timing, arrival)
         self._cancel_activity_timers()
-        self._account_idle(dispatch)
-        start = dispatch + self.power.wake(dispatch)
         ops, absorbed = self._expand(request)
         telemetry = self.telemetry
         legs = None if telemetry is None else []
         finish = self._schedule(ops, start, legs) if ops else start + self._absorbed_latency(absorbed)
+        complete(timing, finish)
+        timing.store(self.stats)
         self._account(request, dispatch, finish, ops)
-        self.queue.on_dispatch(finish)
-        self.power.record_activity_end(finish)
-        self.stats.wakeups = self.power.wakeups
         if self.faults is not None:
             self._sync_fault_stats()
         self._arm_activity_timers()
@@ -539,18 +516,6 @@ class EmmcDevice:
             stats.spare_blocks_consumed = bad.spares_consumed
             stats.remap_migrated_slots = bad.migrated_slots
 
-    def _account_idle(self, dispatch: float) -> None:
-        """Split the idle gap before this dispatch into power states."""
-        gap = dispatch - self.power.last_activity_end_us
-        if gap <= 0:
-            return
-        threshold = self.latency.power_threshold_us
-        if gap > threshold:
-            self.stats.active_idle_us += threshold
-            self.stats.low_power_us += gap - threshold
-        else:
-            self.stats.active_idle_us += gap
-
     def _absorbed_latency(self, absorbed: bool) -> float:
         if absorbed and self.buffer is not None:
             return self.buffer.hit_latency_us
@@ -630,12 +595,9 @@ class EmmcDevice:
                 stats.record_op_counts(op.kind, reads=1)
             elif op.op_type is FlashOpType.PROGRAM:
                 stats.record_op_counts(op.kind, programs=1)
-        timing = self.timing
-        timing.load(stats)
         faults = self.read_faults
         retries = None if faults is None else []
-        finish = reserve(timing, self.op_rows.of(ops), start, faults, retries, legs)
-        timing.store(stats)
+        finish = reserve(self.timing, self.op_rows.of(ops), start, faults, retries, legs)
         if retries:
             for attempt, retry_start in retries:
                 self.kernel.schedule(
@@ -655,15 +617,14 @@ class EmmcDevice:
         min_gap``), POWER_DOWN loses to one (the old check was strictly
         ``gap > threshold``).
         """
-        last_end = self.power.last_activity_end_us
         if self.config.idle_gc:
             self._idle_gc_timer = self.kernel.schedule(
-                last_end + self.config.idle_gc_min_gap_us,
+                self.timing.last_end + self.config.idle_gc_min_gap_us,
                 self._fire_idle_gc,
                 kind=EventKind.IDLE_GC,
             )
         self._power_down_timer = self.kernel.schedule(
-            self.power.sleep_deadline_us,
+            self.timing.power_down_us,
             self._fire_power_down,
             kind=EventKind.POWER_DOWN,
         )
@@ -699,7 +660,7 @@ class EmmcDevice:
     def _fire_power_down(self, event: Event) -> None:
         """The device has been idle ``power_threshold_us``: power down."""
         self._power_down_timer = None
-        self.power.sleep(event.time_us)
+        power_down(self.timing)
         if self.telemetry is not None:
             self.telemetry.add_event(
                 "power-down", event.time_us, cat="power", track="power"
@@ -718,14 +679,6 @@ class EmmcDevice:
         stats.response_us.append(finish - request.arrival_us)
         if wait <= 1e-9:
             stats.no_wait_requests += 1
-
-
-def _pool(name: str, members) -> ResourcePool:
-    """A pool of timelines holding ``(frontier, busy, reservations)`` members."""
-    pool = ResourcePool(len(members), name)
-    for timeline, (free, busy, count) in zip(pool, members):
-        timeline.next_free_us, timeline.busy_us, timeline.reservations = free, busy, count
-    return pool
 
 
 def build_device(config: DeviceConfig) -> EmmcDevice:

@@ -245,8 +245,8 @@ def replay_on(config: DeviceConfig, trace: Trace, faults=None) -> ReplayResult:
     This is the experiments' one front door to the device: a
     :class:`repro.sim.Host` schedules every request as an ``ARRIVAL``
     event on the device's kernel and drains the loop, so figure replays
-    take exactly the Host -> AdmissionQueue -> EmmcDevice path the rest
-    of the codebase uses.
+    take exactly the Host -> EmmcDevice path the rest of the codebase
+    uses.
 
     ``faults`` is an optional :class:`~repro.faults.FaultPlan`; when left
     ``None`` it is sourced from ``$REPRO_FAULT_PROFILE``, so a whole

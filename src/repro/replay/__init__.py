@@ -19,16 +19,17 @@ The fast path is split into:
   the real FTL structures exactly like the kernel would and emits each
   request's flash ops (unit, channel, latency components) as NumPy
   arrays.
-* :mod:`repro.replay.timing` -- the timing pass: hands each request's
-  op rows to :func:`repro.emmc.reserve.reserve`, the reservation routine
-  the event kernel calls at each dispatch, ECC read retries included.
+* :mod:`repro.replay.timing` -- the timing pass: serves each request
+  through :mod:`repro.emmc.reserve`'s ``admit``, ``reserve`` and
+  ``complete``, the serve step the event kernel runs at each arrival,
+  ECC read retries included, on the device's own timing state.
 * :mod:`repro.replay.engine` -- orchestration: runs both passes, applies
-  the resulting device state (stats, queue, power, resource frontiers,
-  kernel clock and timers), and assembles the ``ReplayResult`` with a
-  ready-made columnar view.
+  the rest of the resulting device state (stats, kernel clock and
+  timers), and assembles the ``ReplayResult`` with a ready-made
+  columnar view.
 
 The contract is **bit-identity**: a fast-path replay must leave the
-device -- stats, FTL, mapping, timelines, power model, kernel clock --
+device -- stats, FTL, mapping, timing state, kernel clock --
 in exactly the state a kernel replay would, and return exactly the same
 timestamps.  ``tests/replay`` and the CI replay-parity job enforce this
 against the 57 experiment digests and the frozen goldens.
@@ -39,7 +40,6 @@ from .engine import (
     fallback_reasons,
     fast_replay,
     fast_replay_closed_loop,
-    maybe_fast_replay,
 )
 from .preconditions import REPLAY_FASTPATH_ENV, FastPathDecision, decide
 
@@ -51,5 +51,4 @@ __all__ = [
     "fallback_reasons",
     "fast_replay",
     "fast_replay_closed_loop",
-    "maybe_fast_replay",
 ]

@@ -65,24 +65,17 @@ def fallback_reasons(device, trace=None, first_arrival_us=None) -> Tuple[str, ..
     return reasons
 
 
-def maybe_fast_replay(device, trace):
-    """The open-loop dispatch: a ``ReplayResult`` on the fast path, else ``None``."""
-    if fallback_reasons(device, trace):
-        return None
-    return fast_replay(device, trace)
-
-
 def fast_replay(device, trace: Trace):
     """Replay ``trace`` on ``device`` via the two-pass engine.
 
     Callers must have checked :func:`repro.replay.preconditions.decide`
     first; this function assumes eligibility.  On return the device --
-    stats, FTL, admission queue, power model, resource frontiers, fault
-    streams, kernel clock and re-armed timers -- is in the state a kernel
-    replay would have left, except for the kernel's event-counter
-    telemetry (``processed``/``scheduled``/``cancellations``/seq
-    numbers), which count events that deliberately never existed -- the
-    ``FAULT_RETRY`` events of read retries among them.
+    stats, FTL, timing state (admission queue, power state, resource
+    frontiers), fault streams, kernel clock and re-armed timers -- is in
+    the state a kernel replay would have left, except for the kernel's
+    event-counter telemetry (``processed``/``scheduled``/``cancellations``/
+    seq numbers), which count events that deliberately never existed --
+    the ``FAULT_RETRY`` events of read retries among them.
     """
     from repro.emmc.device import ReplayResult  # local: avoids cycle
 
@@ -209,9 +202,10 @@ def _timed_columns(arrival_arr, dispatch_arr, finish_arr, stream) -> TraceColumn
 def _apply(device, plan, outcome, arrival_arr):
     """Fold a plan and its timing outcome into the device; the shared apply step.
 
-    The resource frontiers are already in ``device.timing``, which the
-    timing pass advanced; its accumulators go back to the stats here.
-    Returns the dispatch and finish columns.
+    The admission queue, power state and resource frontiers are already
+    in ``device.timing``, which the timing pass advanced; its
+    accumulators go back to the stats here.  Returns the dispatch and
+    finish columns.
     """
     stats = device.stats
     dispatch_arr = np.array(outcome.dispatch_us, dtype=np.float64)
@@ -239,24 +233,8 @@ def _apply(device, plan, outcome, arrival_arr):
     for kind, count in plan.page_programs.items():
         stats.page_programs[kind] = stats.page_programs.get(kind, 0) + count
     device.timing.store(stats)
-    stats.active_idle_us = outcome.active_idle_us
-    stats.low_power_us = outcome.low_power_us
-    stats.wakeups = outcome.wakeups
     if device.faults is not None:
         device._sync_fault_stats()
-
-    queue = device.queue
-    queue._busy_until_us = outcome.busy_until_us
-    queue.dispatches += n
-    queue.slot_waits = outcome.slot_waits
-    queue.max_in_flight = max(queue.max_in_flight, 1)
-
-    power = device.power
-    power._last_activity_end_us = outcome.last_activity_end_us
-    power._low_power = outcome.low_power
-    power.wakeups = outcome.wakeups
-    power.mode_switches = outcome.mode_switches
-    power.low_power_entries = outcome.low_power_entries
 
     # Kernel end state: the clock sits at the last COMPLETE event (the
     # final finish -- finishes are monotone at depth 1), the arrival-time

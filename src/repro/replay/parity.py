@@ -5,8 +5,8 @@ oracle is the whole device, not a digest of it.  :func:`snapshot` reads
 every piece of state a replay can touch through public views:
 
 * every ``DeviceStats`` field (float lists element for element);
-* the admission queue, the power model, the controller / channel / unit
-  frontiers of the device's timing state, the kernel clock, its
+* the device's timing state: the admission queue, the power state and
+  the controller / channel / unit frontiers; the kernel clock, its
   pending-event count and the pending power-down deadline;
 * the bit-generator state of each fault-injector stream, so a different
   number of draws is a difference even when the draws agree;
@@ -45,19 +45,8 @@ def snapshot(device, result=None) -> State:
     state: State = {}
     for name, value in vars(device.stats).items():
         state[f"stats.{name}"] = value
-    queue = device.queue
-    state["queue"] = (
-        queue._busy_until_us, queue.dispatches, queue.slot_waits, queue.max_in_flight
-    )
-    power = device.power
-    state["power"] = (
-        power._last_activity_end_us,
-        power._low_power,
-        power.wakeups,
-        power.mode_switches,
-        power.low_power_entries,
-    )
-    for name, value in device.timing.resources().items():
+    timing = device.timing
+    for name, value in {**timing.host(), **timing.resources()}.items():
         state[f"timing.{name}"] = value
     if device.faults is not None:
         state["faults.streams"] = device.faults.stream_states()

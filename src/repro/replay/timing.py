@@ -1,40 +1,29 @@
-"""Timing pass: the kernel's reservation arithmetic over the plan arrays.
+"""Timing pass: the kernel's serve step over the plan arrays.
 
 This pass walks the :class:`~repro.replay.planner.ReplayPlan` request by
-request and computes every dispatch and finish timestamp.  It hands each
-request's op rows to :func:`repro.emmc.reserve.reserve`, the routine the
-event kernel's ``EmmcDevice._schedule`` calls at each dispatch, on the
-device's own :class:`~repro.emmc.reserve.TimingState`, with the device's
-read-fault injector.  So the reservations, the busy-time accumulators
-and the ECC retries (one ``read_failures()`` draw per read row, GC reads
-included, in op order) are the kernel's by construction.  What is left
-here is the arithmetic around the reservation -- admission, idle-gap
-accounting, wake-ups and the power-down timer -- which the engine's
-apply step folds into the device afterwards, together with the state's
-accumulators.
+request and computes every dispatch and finish timestamp.  Each request
+goes through the routines of :mod:`repro.emmc.reserve` that the event
+kernel's ``EmmcDevice._serve`` calls, on the device's own
+:class:`~repro.emmc.reserve.TimingState`, with the device's read-fault
+injector: :func:`~repro.emmc.reserve.admit` (admission, the idle-gap
+split and the wake-up charge), :func:`~repro.emmc.reserve.reserve` on
+its op rows (the reservations, the busy-time accumulators and the ECC
+retries: one ``read_failures()`` draw per read row, GC reads included,
+in op order) and :func:`~repro.emmc.reserve.complete`.  So every piece
+of per-request arithmetic is the kernel's by construction, and the
+state ends where the kernel leaves it; the engine's apply step stores
+the accumulators into the stats afterwards.
 
-Exactness contract
-------------------
+What is left here is specific to the fast path:
 
-Floating-point addition is not associative, so this loop re-performs the
-kernel's per-request arithmetic *operation by operation* in the same
-order:
-
-* ``dispatch = max(arrival, busy_until)`` is a selection -- it
-  introduces no new rounding, only chooses an existing float -- so
-  carrying it as a scalar is exact;
-* the idle-gap split (``active_idle_us``, ``low_power_us``) is
-  accumulated in the same per-request order the kernel uses, starting
-  from the device's current values;
-* everything per op is the shared routine.
-
-The POWER_DOWN timer needs no heap: at ``queue_depth=1`` the timer armed
-after request *i* fires iff its deadline (``last_activity_end +
-threshold``) is *strictly* before the next arrival -- at equal
-timestamps the ARRIVAL event's lower priority value wins and the serve
-cancels the timer.  A fired timer only flips the low-power flag and its
-entry counter; the warm-up charge itself comes from the same
-``gap > threshold`` comparison the closed-form model uses.
+* The POWER_DOWN timer needs no heap.  At ``queue_depth=1`` the timer
+  armed after request *i* fires iff its deadline (the activity end plus
+  the threshold) is *strictly* before the next arrival -- at equal
+  timestamps the ARRIVAL event's lower priority value wins and the serve
+  cancels the timer.  A fired timer is :func:`~repro.emmc.reserve.power_down`,
+  which only flips the flag and its entry counter; the warm-up charge
+  itself comes from ``admit``'s gap comparison.
+* A closed-loop replay's arrivals (below).
 
 Closed loop
 -----------
@@ -67,37 +56,21 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.emmc.reserve import reserve
+from repro.emmc.reserve import admit, complete, power_down, reserve
 
 
 @dataclass
 class TimingOutcome:
-    """Timestamps plus the final queue and power state (absolute values).
+    """The timestamps of every request.
 
-    The resource frontiers and the busy, erase and fault accumulators are
-    in the device's :class:`~repro.emmc.reserve.TimingState`, which the
-    pass advances in place.
+    Everything else the pass changes is in the device's
+    :class:`~repro.emmc.reserve.TimingState`, which it advances in place.
     """
 
     #: The input arrivals (open loop) or the recurrence's (closed loop).
     arrival_us: List[float]
     dispatch_us: List[float]
     finish_us: List[float]
-
-    # AdmissionQueue (depth 1).
-    busy_until_us: float
-    slot_waits: int
-
-    # PowerModel.
-    last_activity_end_us: float
-    low_power: bool
-    wakeups: int
-    mode_switches: int
-    low_power_entries: int
-
-    # DeviceStats idle-gap accumulators (absolute, already folded in).
-    active_idle_us: float
-    low_power_us: float
 
 
 def compute_timing(
@@ -110,38 +83,20 @@ def compute_timing(
     """Run the timing pass over ``plan``.
 
     Advances ``device.timing`` (with the accumulators loaded from the
-    device's stats) and draws the device's read faults; everything else
-    comes back in the outcome for the engine to apply.  Open loop passes
-    ``arrival_us``.  Closed loop passes ``None`` there plus the ``n - 1``
-    think-time ``gaps_us`` and ``synchronous`` flags; each arrival is
-    then computed from the previous completion (see *Closed loop* in the
-    module docstring).
+    device's stats) and draws the device's read faults; the timestamps
+    come back in the outcome.  Open loop passes ``arrival_us``.  Closed
+    loop passes ``None`` there plus the ``n - 1`` think-time ``gaps_us``
+    and ``synchronous`` flags; each arrival is then computed from the
+    previous completion (see *Closed loop* in the module docstring).
     """
-    latency = device.latency
-    command_overhead = latency.command_overhead_us
-    threshold = latency.power_threshold_us
-    warmup = latency.warmup_us
-
-    queue = device.queue
-    busy_until = queue._busy_until_us
-    slot_waits = queue.slot_waits
-
-    power = device.power
-    last_end = power._last_activity_end_us
-    low_power = power._low_power
-    wakeups = power.wakeups
-    mode_switches = power.mode_switches
-    low_power_entries = power.low_power_entries
+    command_overhead = device.latency.command_overhead_us
 
     timer = device._power_down_timer
     timer_pending = timer is not None and not timer.canceled
     timer_deadline = timer.time_us if timer_pending else 0.0
 
-    stats = device.stats
-    active_idle = stats.active_idle_us
-    low_power_us = stats.low_power_us
     state = device.timing
-    state.load(stats)
+    state.load(device.stats)
     faults = device.read_faults
 
     # One op row per flash op, (kind, unit, channel, unit_us, transfer_us,
@@ -185,66 +140,23 @@ def compute_timing(
             arrivals[index] = arrival
 
         # POWER_DOWN timer: fires iff strictly before this arrival (an
-        # arrival at the deadline wins the tie and cancels it).  Firing
-        # only flips the flag/counter; the warm-up charge is gap-based.
-        if timer_pending and timer_deadline < arrival and not low_power:
-            low_power = True
-            low_power_entries += 1
+        # arrival at the deadline wins the tie and cancels it).
+        if timer_pending and timer_deadline < arrival:
+            power_down(state)
 
-        # AdmissionQueue.admit (depth 1).
-        if busy_until > arrival:
-            dispatch = busy_until
-            slot_waits += 1
-        else:
-            dispatch = arrival
-
-        # EmmcDevice._account_idle.
-        gap = dispatch - last_end
-        if gap > 0:
-            if gap > threshold:
-                active_idle += threshold
-                low_power_us += gap - threshold
-            else:
-                active_idle += gap
-
-        # PowerModel.wake (wakeup_penalty's strict comparison).
-        if dispatch - last_end > threshold:
-            wakeups += 1
-            mode_switches += 2
-            start = dispatch + warmup
-        else:
-            start = dispatch
-        low_power = False
-
-        # EmmcDevice._schedule over this request's planned ops.
+        dispatch, start = admit(state, arrival)
         boundary = req_ops[index + 1]
         if position == boundary:
             finish = start + command_overhead  # _absorbed_latency, no buffer
         else:
             finish = reserve(state, islice(rows, boundary - position), start, faults)
             position = boundary
+        complete(state, finish)
 
-        # Post-serve bookkeeping: queue, power, re-armed timer.
-        if finish > busy_until:
-            busy_until = finish
-        if finish > last_end:
-            last_end = finish
+        # The re-armed timer.
         timer_pending = True
-        timer_deadline = last_end + threshold
+        timer_deadline = state.power_down_us
         append_dispatch(dispatch)
         append_finish(finish)
 
-    return TimingOutcome(
-        arrival_us=arrivals,
-        dispatch_us=dispatch_out,
-        finish_us=finish_out,
-        busy_until_us=busy_until,
-        slot_waits=slot_waits,
-        last_activity_end_us=last_end,
-        low_power=low_power,
-        wakeups=wakeups,
-        mode_switches=mode_switches,
-        low_power_entries=low_power_entries,
-        active_idle_us=active_idle,
-        low_power_us=low_power_us,
-    )
+    return TimingOutcome(arrivals, dispatch_out, finish_out)

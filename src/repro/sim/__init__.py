@@ -3,11 +3,12 @@
 The paper's HPS case study rests on a modified SSDsim -- a genuinely
 event-driven simulator.  This package is our equivalent substrate: a
 single simulated clock, a heap-based event loop with typed events and
-deterministic tie-breaking, serially-reusable resource timelines, and the
-host-side admission queue.  ``repro.emmc`` schedules device work on it,
-``repro.android`` schedules application ops and monitor flushes on it,
-and ``repro.experiments`` replays traces through the
-:class:`Host` -> :class:`AdmissionQueue` -> device pipeline.
+deterministic tie-breaking, and the :class:`Host` front door.
+``repro.emmc`` schedules device work on it (the device's serve step,
+admission included, is :mod:`repro.emmc.reserve`), ``repro.android``
+schedules application ops and monitor flushes on it, and
+``repro.experiments`` replays traces through :class:`Host` into the
+device.
 
 Layering: this package depends only on :mod:`repro.trace`; everything
 else depends on it.
@@ -17,17 +18,12 @@ from .clock import SimClock, SimTimeError
 from .events import Event, EventKind
 from .host import Host
 from .loop import EventLoop, SimInterrupt
-from .queueing import AdmissionQueue
-from .resources import ResourcePool, ResourceTimeline
 
 __all__ = [
-    "AdmissionQueue",
     "Event",
     "EventKind",
     "EventLoop",
     "Host",
-    "ResourcePool",
-    "ResourceTimeline",
     "SimClock",
     "SimInterrupt",
     "SimTimeError",

@@ -1,4 +1,4 @@
-"""The host side of the simulation: Host -> Queue -> Device.
+"""The host side of the simulation: Host -> Device.
 
 The :class:`Host` is the front door to a device, with one entry point
 per arrival shape:
@@ -15,7 +15,7 @@ per arrival shape:
 Both lower onto the two-pass fast path (:mod:`repro.replay`) when it is
 eligible and bit-identical; otherwise they run on the event kernel,
 where every request enters through an ``ARRIVAL`` event and the
-admission queue.  For a trace sorted by arrival time the kernel replay
+device's admission step.  For a trace sorted by arrival time the kernel replay
 is bit-identical to a request-at-a-time loop: arrivals fire in ``(time,
 seq)`` order, which *is* trace order.  Out-of-order producers
 (concurrent apps, monitor flushes) can still schedule arrivals at their

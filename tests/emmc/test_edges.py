@@ -8,8 +8,6 @@ from repro.emmc import (
     Geometry,
     GreedyGC,
     PageKind,
-    PowerModel,
-    PowerState,
     capacity_matches,
     describe_die,
     eight_ps,
@@ -18,14 +16,6 @@ from repro.emmc import (
     small_four_ps,
 )
 from repro.emmc.ftl import Ftl, OutOfSpaceError
-
-
-class TestPowerBoundaries:
-    def test_exactly_at_threshold_stays_active(self):
-        power = PowerModel(power_threshold_us=100.0, warmup_us=10.0)
-        power.record_activity_end(0.0)
-        assert power.state_at(100.0) is PowerState.ACTIVE
-        assert power.state_at(100.0001) is PowerState.LOW_POWER
 
 
 class TestStructureHelpers:

@@ -1,39 +1,8 @@
-"""Unit tests for the power model and the optional RAM buffer."""
+"""Unit tests for the optional RAM buffer."""
 
 import pytest
 
-from repro.emmc import PowerModel, PowerState, RamBuffer
-
-
-class TestPowerModel:
-    def test_starts_active(self):
-        power = PowerModel(power_threshold_us=100.0, warmup_us=10.0)
-        assert power.state_at(0.0) is PowerState.ACTIVE
-
-    def test_drops_to_low_power_after_threshold(self):
-        power = PowerModel(power_threshold_us=100.0, warmup_us=10.0)
-        power.record_activity_end(50.0)
-        assert power.state_at(140.0) is PowerState.ACTIVE
-        assert power.state_at(151.0) is PowerState.LOW_POWER
-
-    def test_wakeup_penalty_counts(self):
-        power = PowerModel(power_threshold_us=100.0, warmup_us=10.0)
-        power.record_activity_end(0.0)
-        assert power.wakeup_penalty(500.0) == 10.0
-        assert power.wakeups == 1
-        assert power.mode_switches == 2
-
-    def test_no_penalty_when_active(self):
-        power = PowerModel(power_threshold_us=100.0, warmup_us=10.0)
-        power.record_activity_end(0.0)
-        assert power.wakeup_penalty(50.0) == 0.0
-        assert power.wakeups == 0
-
-    def test_activity_end_monotonic(self):
-        power = PowerModel(power_threshold_us=100.0, warmup_us=10.0)
-        power.record_activity_end(100.0)
-        power.record_activity_end(50.0)
-        assert power.last_activity_end_us == 100.0
+from repro.emmc import RamBuffer
 
 
 class TestRamBuffer:

@@ -1,8 +1,12 @@
-"""The op-row reservation routine, against hand-computed windows.
+"""The serve step's routines, against hand-computed values.
 
-Both replay engines call :func:`repro.emmc.reserve.reserve`, so engine
-parity cannot see a mistake inside it.  These cases pin its arithmetic
-directly: op order on the controller, unit and channel frontiers,
+Both replay engines call :func:`repro.emmc.reserve.admit`,
+:func:`~repro.emmc.reserve.reserve`, :func:`~repro.emmc.reserve.complete`
+and :func:`~repro.emmc.reserve.power_down`, so engine parity cannot see
+a mistake inside them.  These cases pin their arithmetic directly:
+admission at depth 1 and at depth 2 (the in-flight heap), the idle-gap
+split, the wake-up charge and its strict threshold comparison, the
+power-down flag, op order on the controller, unit and channel frontiers,
 copy-back, and the ECC read-retry branch driven by a scripted injector.
 """
 
@@ -12,13 +16,25 @@ import pytest
 
 from repro.emmc import EmmcDevice, small_four_ps
 from repro.emmc.ops import FlashOp, FlashOpType
-from repro.emmc.reserve import ERASE, PROGRAM, READ, OpRows, TimingState, reserve
+from repro.emmc.reserve import (
+    ERASE,
+    PROGRAM,
+    READ,
+    OpRows,
+    TimingState,
+    admit,
+    complete,
+    power_down,
+    reserve,
+)
 from repro.emmc.stats import DeviceStats
 
 OVERHEAD = 10.0
 READ_US = 50.0
 PROGRAM_US = 400.0
 XFER_US = 70.0
+THRESHOLD = 100.0
+WARMUP = 10.0
 
 
 class ScriptedFaults:
@@ -34,10 +50,136 @@ class ScriptedFaults:
         return self.failures.pop(0)
 
 
-def _state(copyback=False):
-    state = TimingState(channels=2, units=2, ftl_overhead_us=OVERHEAD, copyback=copyback)
+def _state(copyback=False, depth=1, threshold=THRESHOLD):
+    state = TimingState(
+        channels=2,
+        units=2,
+        ftl_overhead_us=OVERHEAD,
+        copyback=copyback,
+        depth=depth,
+        power_threshold_us=threshold,
+        warmup_us=WARMUP,
+    )
     state.load(DeviceStats())
     return state
+
+
+class TestAdmission:
+    """Dispatch instants and queue counts (no idle gap reaches the threshold)."""
+
+    def test_depth_one_serializes(self):
+        state = _state(threshold=1e9)
+        assert admit(state, 0.0) == (0.0, 0.0)
+        complete(state, 100.0)
+        assert admit(state, 10.0) == (100.0, 100.0)  # waits for the device
+        complete(state, 150.0)
+        assert admit(state, 200.0) == (200.0, 200.0)  # device already idle
+        complete(state, 260.0)
+        assert state.busy_until == 260.0
+        assert (state.dispatches, state.slot_waits, state.max_in_flight) == (3, 1, 1)
+
+    def test_depth_two_overlaps_until_full(self):
+        state = _state(depth=2, threshold=1e9)
+        assert admit(state, 0.0) == (0.0, 0.0)
+        complete(state, 100.0)
+        assert admit(state, 0.0) == (0.0, 0.0)  # second slot free
+        complete(state, 50.0)
+        # Both in flight at t=10: wait for the earliest completion (50).
+        assert admit(state, 10.0) == (50.0, 50.0)
+        complete(state, 120.0)
+        assert sorted(state.in_flight) == [100.0, 120.0]
+        assert (state.slot_waits, state.max_in_flight) == (1, 2)
+        # By t=200 everything has drained.
+        assert admit(state, 200.0) == (200.0, 200.0)
+        assert state.in_flight == []
+        assert (state.dispatches, state.slot_waits) == (4, 1)
+        # The heap, not busy_until, is the depth-2 queue.
+        assert state.busy_until == 0.0
+
+    def test_a_slot_freed_before_the_arrival_costs_no_wait(self):
+        state = _state(depth=2, threshold=1e9)
+        for finish in (30.0, 40.0):
+            admit(state, 0.0)
+            complete(state, finish)
+        assert admit(state, 35.0) == (35.0, 35.0)  # 30 has left the queue
+        assert state.in_flight == [40.0]
+        assert state.slot_waits == 0
+
+
+class TestPower:
+    def test_starts_active(self):
+        state = _state()
+        assert admit(state, 0.0) == (0.0, 0.0)
+        assert (state.wakeups, state.low_power) == (0, False)
+
+    def test_no_penalty_within_the_threshold(self):
+        state = _state()
+        complete(state, 50.0)
+        assert admit(state, 140.0) == (140.0, 140.0)
+        assert state.wakeups == 0
+
+    def test_wakeup_after_the_threshold(self):
+        state = _state()
+        complete(state, 50.0)
+        assert admit(state, 151.0) == (151.0, 151.0 + WARMUP)
+        assert state.wakeups == 1
+
+    def test_exactly_at_the_threshold_stays_active(self):
+        # The comparison is strict: a gap equal to the threshold is awake.
+        state = _state()
+        complete(state, 0.0)
+        assert admit(state, THRESHOLD) == (THRESHOLD, THRESHOLD)
+        assert state.wakeups == 0
+        state = _state()
+        complete(state, 0.0)
+        assert admit(state, THRESHOLD + 0.0001)[1] == THRESHOLD + 0.0001 + WARMUP
+        assert state.wakeups == 1
+
+    def test_idle_gap_split_at_the_threshold(self):
+        state = _state()
+        complete(state, 0.0)
+        admit(state, 500.0)
+        assert (state.active_idle_us, state.low_power_us) == (THRESHOLD, 400.0)
+        complete(state, 520.0)
+        admit(state, 580.0)
+        assert (state.active_idle_us, state.low_power_us) == (THRESHOLD + 60.0, 400.0)
+
+    def test_overlapping_dispatch_accounts_no_idle(self):
+        state = _state(depth=2)
+        admit(state, 0.0)
+        complete(state, 100.0)
+        assert admit(state, 10.0) == (10.0, 10.0)  # gap -90: not idle
+        assert (state.active_idle_us, state.low_power_us, state.wakeups) == (0.0, 0.0, 0)
+
+    def test_activity_end_is_monotonic(self):
+        state = _state(depth=2)
+        complete(state, 100.0)
+        complete(state, 50.0)
+        assert state.last_end == 100.0
+        assert state.power_down_us == 100.0 + THRESHOLD
+
+    def test_power_down_counts_once_per_idle_period(self):
+        state = _state()
+        power_down(state)
+        power_down(state)
+        assert (state.low_power, state.low_power_entries) == (True, 1)
+        admit(state, 0.0)  # the dispatch wakes the device
+        assert state.low_power is False
+        power_down(state)
+        assert state.low_power_entries == 2
+
+    def test_reset_empties_the_queue_and_keeps_the_lifetime_counts(self):
+        state = _state()
+        admit(state, 0.0)
+        complete(state, 500.0)
+        power_down(state)
+        state.reset(300.0)  # a finish beyond the resume instant still counts
+        assert state.host() == {
+            "queue": (0.0, 0, 0, 0),
+            "power": (500.0, False, 1),
+        }
+        state.reset(900.0)
+        assert state.last_end == 900.0
 
 
 def _read(gc=False):

@@ -6,9 +6,12 @@ any replay dirties it, and ``reset()`` restores it to the constructed
 state field for field.
 """
 
-from repro.emmc import EmmcDevice, PageKind, small_four_ps
+import pytest
+
+from repro.emmc import EmmcDevice, PageKind, energy_report, four_ps, small_four_ps
 from repro.emmc.stats import DeviceStats
 from repro.sim import Host
+from repro.trace import KIB, Op, Request, Trace
 from repro.workloads import generate_trace
 
 
@@ -65,3 +68,26 @@ class TestReset:
         a.page_reads[PageKind.K4] = 1
         assert b.response_us == []
         assert b.page_reads == {}
+
+    @pytest.mark.parametrize("mode", ["off", "auto"])
+    def test_reset_drops_earlier_wakeups(self, mode, monkeypatch):
+        # Two writes 10 thresholds apart wake the device once; after a
+        # reset, two writes 10 us apart must report no wake-up at all,
+        # on either engine, and charge no wake-up energy.
+        monkeypatch.setenv("REPRO_REPLAY_FASTPATH", mode)
+        device = EmmcDevice(four_ps())
+        threshold = device.latency.power_threshold_us
+        first = Host(device).replay(Trace("wake", [
+            Request(0.0, 0, 4 * KIB, Op.WRITE),
+            Request(10 * threshold, 256 * KIB, 4 * KIB, Op.WRITE),
+        ]))
+        assert first.stats.wakeups == 1
+        device.stats.reset()
+        start = first.trace.requests[-1].finish_us + 10.0
+        second = Host(device).replay(Trace("awake", [
+            Request(start, 512 * KIB, 4 * KIB, Op.WRITE),
+            Request(start + 10.0, 768 * KIB, 4 * KIB, Op.WRITE),
+        ]))
+        stats = second.stats
+        assert (stats.requests, stats.low_power_us, stats.wakeups) == (2, 0.0, 0)
+        assert energy_report(stats).wakeup_uj == 0.0

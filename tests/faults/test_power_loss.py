@@ -112,6 +112,28 @@ class TestRecoverContract:
         assert report.remapped_entries == len(written_before)
         assert set(device.ftl.mapping.mapped_lpns()) == written_before
 
+    def test_recover_clears_the_volatile_timing_state(self):
+        device = EmmcDevice(small_four_ps())
+        threshold = device.latency.power_threshold_us
+        Host(device).replay(Trace("wake", [
+            Request(arrival_us=0.0, lba=0, size=SECTOR, op=Op.WRITE),
+            Request(arrival_us=3 * threshold, lba=SECTOR, size=SECTOR, op=Op.WRITE),
+        ]))
+        timing = device.timing
+        device.kernel.run_until(timing.power_down_us + 1.0)  # the timer fires
+        assert (timing.low_power, timing.low_power_entries) == (True, 2)
+        report = device.recover(at_us=device.kernel.now_us + 10.0)
+        # Queue, counts, flag and frontiers go; the entry count and the
+        # stats' wake-ups stay; the idle clock restarts at the resume.
+        assert timing.host() == {
+            "queue": (0.0, 0, 0, 0),
+            "power": (report.resumed_us, False, 2),
+        }
+        resources = timing.resources()
+        assert resources["controller"] == (0.0, 0.0, 0)
+        assert set(resources["channels"] + resources["units"]) == {(0.0, 0.0, 0)}
+        assert device.stats.wakeups == 1
+
     def test_recovered_device_still_serves(self):
         device = EmmcDevice(small_four_ps())
         Host(device).replay(_trace().without_timing())

@@ -12,7 +12,7 @@ import pytest
 
 from repro.emmc import EmmcDevice, small_four_ps
 from repro.faults import FaultPlan
-from repro.replay import FastPathUnavailable, decide, maybe_fast_replay
+from repro.replay import FastPathUnavailable, decide, fallback_reasons
 from repro.sim import EventLoop, Host
 from repro.telemetry import Telemetry
 from repro.trace import Op, Request, SECTOR, Trace
@@ -110,7 +110,8 @@ class TestIneligible:
     ):
         monkeypatch.delenv("REPRO_REPLAY_FASTPATH", raising=False)
         device = factory()
-        assert maybe_fast_replay(device, _trace()) is None
+        reasons = fallback_reasons(device, _trace())
+        assert len(reasons) == 1 and reason_part in reasons[0], reasons
         result = Host(device).replay(_trace())
         # The replay really ran, and it ran on the event kernel.
         assert len(result.trace) == 40

@@ -162,7 +162,7 @@ def open_loop_trace(config, plan, rows):
     requests = []
     for op, lpn, pages, gap, idle, _ in rows:
         if idle and pacing and requests:
-            arrival = pacer.power.sleep_deadline_us
+            arrival = pacer.timing.power_down_us
         else:
             arrival += gap
         request = Request(arrival, lpn * SECTOR, pages * SECTOR, op)

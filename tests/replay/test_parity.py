@@ -119,6 +119,20 @@ def test_snapshot_checks_the_result_columns(monkeypatch):
     assert len(diffs) == 1 and diffs[0].startswith("trace.columns.complete_us at 7:")
 
 
+def test_snapshot_checks_the_queue_and_power_state():
+    """The admission queue and the power state are part of the oracle."""
+    from repro.emmc.reserve import complete, power_down
+
+    device = EmmcDevice(small_four_ps())
+    before = snapshot(device)
+    power_down(device.timing)
+    complete(device.timing, 5.0)
+    assert compare(before, snapshot(device)) == [
+        "timing.power at 0: 0.0 vs 5.0",
+        "timing.queue at 0: 0.0 vs 5.0",
+    ]
+
+
 def test_mixed_fast_and_kernel_runs_digest_identically(monkeypatch):
     """Interleaving fast and kernel replays on one device changes nothing.
 

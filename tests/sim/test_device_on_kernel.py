@@ -98,9 +98,9 @@ class TestActivityTimers:
         )
         # The POWER_DOWN timer fired during the gap (event-driven sleep),
         # and the dispatch paid the warm-up exactly once.
-        assert device.power.low_power_entries == 1
-        assert device.power.wakeups == 1
-        assert not device.power.is_low_power  # awake again after the dispatch
+        assert device.timing.low_power_entries == 1
+        assert device.stats.wakeups == 1
+        assert not device.timing.low_power  # awake again after the dispatch
         assert second.service_us == pytest.approx(
             first.service_us + device.latency.warmup_us
         )
@@ -114,8 +114,8 @@ class TestActivityTimers:
         )
         # Old model slept only for gaps *strictly* beyond the threshold; an
         # arrival exactly at the deadline wins the tie and cancels it.
-        assert device.power.low_power_entries == 0
-        assert device.power.wakeups == 0
+        assert device.timing.low_power_entries == 0
+        assert device.stats.wakeups == 0
         assert second.service_us == pytest.approx(first.service_us)
 
     def test_trailing_timers_never_fire(self):
@@ -125,7 +125,7 @@ class TestActivityTimers:
         )
         # The speculative power-down deadline after the last request stays
         # pending: nothing happens after the end of a trace.
-        assert device.power.low_power_entries == 0
+        assert device.timing.low_power_entries == 0
         assert device.kernel.pending_material() == 0
         assert len(device.kernel) > 0
 

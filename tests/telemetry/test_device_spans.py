@@ -49,7 +49,7 @@ class TestRequestSpanTree:
         for child in children:
             span = sink.spans[child]
             if span[S_NAME] == "program":
-                assert span[S_TRACK].startswith(device.units.name)
+                assert span[S_TRACK].startswith("die")
             if span[S_NAME] == "xfer":
                 assert span[S_TRACK].startswith("channel")
 

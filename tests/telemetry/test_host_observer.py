@@ -15,7 +15,7 @@ Pinned regressions:
 import pytest
 
 from repro.emmc import EmmcDevice, small_four_ps
-from repro.replay import FastPathUnavailable, decide, maybe_fast_replay
+from repro.replay import FastPathUnavailable, decide, fallback_reasons
 from repro.sim import Host
 from repro.telemetry import Telemetry
 from repro.trace import Op, Request, SECTOR, Trace
@@ -83,7 +83,8 @@ class TestFastPathPrecondition:
         monkeypatch.delenv("REPRO_REPLAY_FASTPATH", raising=False)
         sink = Telemetry()
         device = EmmcDevice(small_four_ps(), telemetry=sink)
-        assert maybe_fast_replay(device, _trace()) is None
+        reasons = fallback_reasons(device, _trace())
+        assert len(reasons) == 1 and "telemetry" in reasons[0], reasons
         result = Host(device).replay(_trace())
         assert len(result.trace) == 40
         assert device.kernel.processed > 0

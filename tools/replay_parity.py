@@ -5,20 +5,21 @@ device configs, plus a copy-back variant of each small config, twice --
 ``REPRO_REPLAY_FASTPATH=off`` then ``require`` -- fault-free and under
 two transient read-fault plans (the ``transient-reads`` profile and a
 0.5 error rate), and diffs the whole device with
-:mod:`repro.replay.parity`: every ``DeviceStats`` field, admission
-queue, power model, resource frontiers, fault-injector stream states,
-kernel clock, the FTL's mapping, blocks, pools, cursor and GC totals,
-the returned timed requests, and the columns of the returned trace
-(arrival, service start and completion times included).  Any mismatch
-prints the first diverging element and the two values::
+:mod:`repro.replay.parity`: every ``DeviceStats`` field, the timing
+state (admission queue, power state, resource frontiers),
+fault-injector stream states, kernel clock, the FTL's mapping, blocks,
+pools, cursor and GC totals, the returned timed requests, and the
+columns of the returned trace (arrival, service start and completion
+times included).  Any mismatch prints the first diverging element and
+the two values::
 
     PYTHONHASHSEED=0 python tools/replay_parity.py
 
 Exit code is non-zero on any divergence. The small configs push the
 write-heavy traces into thousands of GC cycles, exercising the
-planner's per-request fallback; combos that exhaust flash entirely are
-skipped when *both* engines agree on the error (and flagged when they
-do not). Smaller versions of these checks run per commit in
+planner's per-request fallback; a combo that exhausts flash must raise
+``OutOfSpaceError`` on *both* engines, and is flagged when only one
+does. Smaller versions of these checks run per commit in
 ``tests/replay``.
 """
 import os
@@ -86,12 +87,13 @@ def main():
 def check(label, config, trace, plan):
     """Replay on both engines and print one status line; returns the diff count."""
     kernel_device, kernel_result, kernel_s = run(config, trace, plan, "off")
-    if kernel_result is None:
-        print(f"SKIP {label}: out of space on kernel path")
-        return 0
     fast_device, fast_result, fast_s = run(config, trace, plan, "require")
-    if fast_result is None:
-        print(f"BAD {label}: fast path ran out of space, kernel did not")
+    if kernel_result is None and fast_result is None:
+        print(f"OK  {label}: out of space on both engines")
+        return 0
+    if kernel_result is None or fast_result is None:
+        short = "fast path" if fast_result is None else "kernel"
+        print(f"BAD {label}: {short} ran out of space, the other engine did not")
         return 1
     diffs = compare(
         snapshot(kernel_device, kernel_result),
