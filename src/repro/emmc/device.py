@@ -22,6 +22,10 @@ Structure (one :class:`repro.sim.EventLoop` per device):
   serially-reusable resources -- one controller, one per channel, one
   per die, or per plane with ``multi_plane``) and
   :func:`~repro.emmc.reserve.complete`.
+* A request becomes op rows through the device's write and read steps
+  (:meth:`EmmcDevice.write_step`, :meth:`EmmcDevice.read_step`), which
+  also do its accounting; the replay fast path's planner calls them for
+  every request its closed-form walks do not cover.
 * Idle-time GC and the power-down transition are ``IDLE_GC`` /
   ``POWER_DOWN`` timer events armed after every request and canceled by
   the next arrival, instead of gap checks bolted onto the next dispatch.
@@ -46,7 +50,7 @@ from repro.trace import Request, SECTOR, Trace
 
 from .cache import RamBuffer
 from .distributor import RequestDistributor
-from .ftl import Ftl, GreedyGC, StaticWearLeveler, VictimPolicy, WriteOutcome
+from .ftl import Ftl, GreedyGC, StaticWearLeveler, VictimPolicy
 from .geometry import Geometry, PageKind
 from .latency import LatencyParams
 from .ops import FlashOp, FlashOpType
@@ -220,7 +224,7 @@ class EmmcDevice:
             config.latency.warmup_us,
         )
         self._unit_name = "plane" if config.multi_plane else "die"
-        #: FlashOps -> op rows, for the kernel and the planner's fallbacks.
+        #: FlashOps -> op rows, for every op the device reserves.
         self.op_rows = OpRows(self.geometry, self.latency, config.multi_plane)
         # ``telemetry`` mirrors the fault-plan pattern: ``None`` (the
         # default) is structural absence -- no sink anywhere, no recording
@@ -412,13 +416,16 @@ class EmmcDevice:
         timing.load(self.stats)
         dispatch, start = admit(timing, arrival)
         self._cancel_activity_timers()
-        ops, absorbed = self._expand(request)
+        rows = self._expand(request)
         telemetry = self.telemetry
         legs = None if telemetry is None else []
-        finish = self._schedule(ops, start, legs) if ops else start + self._absorbed_latency(absorbed)
+        if rows:
+            finish = self._schedule(rows, start, legs)
+        else:  # absorbed by the RAM buffer
+            finish = start + self.buffer.hit_latency_us
         complete(timing, finish)
         timing.store(self.stats)
-        self._account(request, dispatch, finish, ops)
+        self._account(request, dispatch, finish)
         if self.faults is not None:
             self._sync_fault_stats()
         self._arm_activity_timers()
@@ -516,48 +523,35 @@ class EmmcDevice:
             stats.spare_blocks_consumed = bad.spares_consumed
             stats.remap_migrated_slots = bad.migrated_slots
 
-    def _absorbed_latency(self, absorbed: bool) -> float:
-        if absorbed and self.buffer is not None:
-            return self.buffer.hit_latency_us
-        return self.latency.command_overhead_us
-
     # -- request expansion --------------------------------------------------------
 
-    def _expand(self, request: Request):
-        """Turn a host request into flash ops (possibly via the RAM buffer)."""
-        ops: List[FlashOp] = []
-        absorbed = False
+    def _expand(self, request: Request) -> List[tuple]:
+        """Turn a host request into op rows; none when the RAM buffer absorbs it."""
+        lpns = self.distributor.lpns_of(request)
+        buffer = self.buffer
+        stats = self.stats
         if request.is_write:
-            lpns = self.distributor.lpns_of(request)
-            if self.buffer is not None:
-                evicted = self.buffer.write(lpns)
-                if evicted:
-                    ops.extend(self._program(evicted).ops)
-                absorbed = not ops
-                self.stats.data_bytes_written += request.size
-            else:
-                outcome = self._program(lpns)
-                ops.extend(outcome.ops)
-                self.stats.data_bytes_written += outcome.data_bytes
+            if buffer is not None:
+                lpns = buffer.write(lpns)  # what the buffer evicts
+            rows = self.write_step(lpns) if lpns else []
+            stats.data_bytes_written += request.size
         else:
-            lpns = self.distributor.lpns_of(request)
-            if self.buffer is not None:
-                lpns = self.buffer.read(lpns)
-                self.stats.cache_read_hits = self.buffer.stats.read_hits
-                self.stats.cache_read_misses = self.buffer.stats.read_misses
-                absorbed = not lpns
-            if lpns:
-                outcome = self.ftl.read(lpns)
-                ops.extend(outcome.ops)
-                self.stats.preloaded_pages += outcome.preloaded_pages
-            self.stats.data_bytes_read += request.size
-        return ops, absorbed
+            if buffer is not None:
+                lpns = buffer.read(lpns)  # what the buffer misses
+                stats.cache_read_hits = buffer.stats.read_hits
+                stats.cache_read_misses = buffer.stats.read_misses
+            rows = self.read_step(lpns) if lpns else []
+            stats.data_bytes_read += request.size
+        return rows
 
-    def _program(self, lpns: List[int]) -> WriteOutcome:
-        """Program ``lpns`` packed by the distributor; account flash use and GC.
+    def write_step(self, lpns) -> List[tuple]:
+        """Program ``lpns`` packed by the distributor; returns the op rows.
 
-        Host writes and RAM-buffer flushes both program through here, so
-        every GC collection and migrated slot reaches the stats.
+        The device's one write step: host writes, RAM-buffer flushes and
+        the replay planner's fallback writes all program through here, so
+        the flash bytes, every GC collection and migrated slot, and the
+        per-kind op counts reach the stats.  Program and erase failures
+        fire inside :meth:`Ftl.write`.
         """
         outcome = self.ftl.write(self.distributor.pack(lpns))
         stats = self.stats
@@ -566,38 +560,52 @@ class EmmcDevice:
         stats.gc_migrated_slots += sum(
             result.migrated_slots for result in outcome.gc_results
         )
-        return outcome
+        return self._rows(outcome.ops)
+
+    def read_step(self, lpns) -> List[tuple]:
+        """Look up ``lpns`` in the FTL; returns the op rows.
+
+        The device's one read step, shared with the replay planner's
+        fallback reads: preloaded pages and per-kind op counts reach the
+        stats.
+        """
+        outcome = self.ftl.read(lpns)
+        self.stats.preloaded_pages += outcome.preloaded_pages
+        return self._rows(outcome.ops)
+
+    def _rows(self, ops: List[FlashOp]) -> List[tuple]:
+        """The op rows of ``ops``, each read and program counted per kind."""
+        record = self.stats.record_op_counts
+        for op in ops:
+            if op.op_type is FlashOpType.READ:
+                record(op.kind, reads=1)
+            elif op.op_type is FlashOpType.PROGRAM:
+                record(op.kind, programs=1)
+        return self.op_rows.of(ops)
 
     # -- timing engine --------------------------------------------------------------
 
     def _schedule(
         self,
-        ops: List[FlashOp],
+        rows: List[tuple],
         start: float,
         legs: Optional[List[tuple]] = None,
     ) -> float:
-        """Reserve ops on the controller/channel/unit frontiers; returns makespan end.
+        """Reserve op rows on the controller/channel/unit frontiers; returns makespan end.
 
-        The ops become op rows and :func:`repro.emmc.reserve.reserve`
-        claims their windows in order, with no preemption.  Each ECC
-        retry it reports becomes a ``FAULT_RETRY`` kernel event at the
-        retry's start, so retries are visible in the recorded event
-        trace.
+        :func:`repro.emmc.reserve.reserve` claims the rows' windows in
+        order, with no preemption.  Each ECC retry it reports becomes a
+        ``FAULT_RETRY`` kernel event at the retry's start, so retries are
+        visible in the recorded event trace.
 
         ``legs`` (telemetry enabled only) receives one tuple per op in
         the :data:`repro.telemetry.decomposition` ``L_*`` layout --
         every reservation window the routine computes anyway, captured
         instead of discarded.  Recording never changes a reservation.
         """
-        stats = self.stats
-        for op in ops:
-            if op.op_type is FlashOpType.READ:
-                stats.record_op_counts(op.kind, reads=1)
-            elif op.op_type is FlashOpType.PROGRAM:
-                stats.record_op_counts(op.kind, programs=1)
         faults = self.read_faults
         retries = None if faults is None else []
-        finish = reserve(self.timing, self.op_rows.of(ops), start, faults, retries, legs)
+        finish = reserve(self.timing, rows, start, faults, retries, legs)
         if retries:
             for attempt, retry_start in retries:
                 self.kernel.schedule(
@@ -639,19 +647,25 @@ class EmmcDevice:
             self._power_down_timer = None
 
     def _fire_idle_gc(self, event: Event) -> None:
-        """The device has been idle ``idle_gc_min_gap_us``: collect now."""
+        """The device has been idle ``idle_gc_min_gap_us``: collect now.
+
+        Each collection's ops are reserved from the timer instant, as
+        foreground GC's are from the request start, so they count in the
+        busy times and erases, and a request arriving meanwhile waits for
+        the resources they hold.  Admission and the power state are
+        untouched: the device is collecting, not serving.
+        """
         self._idle_gc_timer = None
         results = self.ftl.idle_collect(self.config.idle_gc_soft_threshold)
-        if results:
-            self.stats.idle_gc_collections += len(results)
-            self.stats.erases += len(results)
-            for result in results:
-                for op in result.ops:
-                    if op.op_type is FlashOpType.READ:
-                        self.stats.record_op_counts(op.kind, reads=1)
-                    elif op.op_type is FlashOpType.PROGRAM:
-                        self.stats.record_op_counts(op.kind, programs=1)
-        if self.telemetry is not None and results:
+        if not results:
+            return
+        stats = self.stats
+        stats.idle_gc_collections += len(results)
+        self.timing.load(stats)
+        for result in results:
+            self._schedule(self._rows(result.ops), event.time_us)
+        self.timing.store(stats)
+        if self.telemetry is not None:
             self.telemetry.add_event(
                 "idle-gc", event.time_us, cat="gc", track="power",
                 args=len(results),
@@ -668,9 +682,7 @@ class EmmcDevice:
 
     # -- accounting --------------------------------------------------------------------
 
-    def _account(
-        self, request: Request, dispatch: float, finish: float, ops: List[FlashOp]
-    ) -> None:
+    def _account(self, request: Request, dispatch: float, finish: float) -> None:
         stats = self.stats
         stats.requests += 1
         wait = dispatch - request.arrival_us

@@ -1,9 +1,9 @@
 """Vectorized replay fast path for queue_depth=1 replay, open or closed loop.
 
 Every paper experiment replays traces on the same device configuration:
-a single command queue (``queue_depth=1``), no RAM buffer, no
-program/erase fault injection.  Arrivals are open loop (recorded times) or closed loop (each
-paced by the previous completion, the collection methodology).  Under
+a single command queue (``queue_depth=1``) and no RAM buffer.  Arrivals
+are open loop (recorded times) or closed loop (each paced by the
+previous completion, the collection methodology).  Under
 those conditions each request's full schedule is fixed at dispatch
 (FIFO, no preemption), so the event kernel
 is pure overhead: the heap, the Event objects, the timer churn and the
@@ -16,17 +16,18 @@ The fast path is split into:
   the two-pass engine cannot model bit-exactly falls back to the kernel.
 * :mod:`repro.replay.planner` -- the planning pass: a slimmed sequential
   FTL walk over :class:`~repro.trace.columns.TraceColumns` that mutates
-  the real FTL structures exactly like the kernel would and emits each
-  request's flash ops (unit, channel, latency components) as NumPy
-  arrays.
+  the real FTL structures exactly like the kernel would, running the
+  device's own write and read steps wherever its closed-form walks do
+  not apply, and emits each request's op rows (unit, channel, latency
+  components) as flat columns.
 * :mod:`repro.replay.timing` -- the timing pass: serves each request
   through :mod:`repro.emmc.reserve`'s ``admit``, ``reserve`` and
   ``complete``, the serve step the event kernel runs at each arrival,
   ECC read retries included, on the device's own timing state.
-* :mod:`repro.replay.engine` -- orchestration: runs both passes, applies
-  the rest of the resulting device state (stats, kernel clock and
-  timers), and assembles the ``ReplayResult`` with a ready-made
-  columnar view.
+* :mod:`repro.replay.engine` -- orchestration: one body for open and
+  closed loop runs both passes, applies the rest of the resulting
+  device state (per-request samples, kernel clock and timers), and
+  assembles the ``ReplayResult`` with a ready-made columnar view.
 
 The contract is **bit-identity**: a fast-path replay must leave the
 device -- stats, FTL, mapping, timing state, kernel clock --
@@ -41,11 +42,10 @@ from .engine import (
     fast_replay,
     fast_replay_closed_loop,
 )
-from .preconditions import REPLAY_FASTPATH_ENV, FastPathDecision, decide
+from .preconditions import REPLAY_FASTPATH_ENV, decide
 
 __all__ = [
     "REPLAY_FASTPATH_ENV",
-    "FastPathDecision",
     "FastPathUnavailable",
     "decide",
     "fallback_reasons",

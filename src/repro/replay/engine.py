@@ -3,8 +3,9 @@
 :func:`fast_replay` is the two-pass replacement for ``Host.replay``'s
 schedule-arrivals-and-drain loop, and :func:`fast_replay_closed_loop`
 the one for ``Host.replay_closed_loop``'s submit-and-drain loop.  Both
-run the same planner, the same timing pass and the same apply step;
-they differ only in where arrivals come from.  :func:`fallback_reasons`
+are thin entries over one body -- the planner, the timing pass, the
+apply step and the result assembly -- and differ only in where arrivals
+come from.  :func:`fallback_reasons`
 is the dispatch decision both ``Host`` entries consult: it checks the
 ``REPRO_REPLAY_FASTPATH`` switch and the preconditions, and names why
 the event kernel must run instead (nothing, for the fast path).
@@ -29,11 +30,12 @@ class FastPathUnavailable(RuntimeError):
     """``REPRO_REPLAY_FASTPATH=require`` but the replay is ineligible."""
 
 
-#: Timed copies of the (frozen) trace requests are built via ``__new__``
-#: plus a ``__dict__`` fill: identical objects to ``Request.with_timing``'s
-#: ``dataclasses.replace``, minus the replace machinery and the
-#: ``__post_init__`` revalidation -- the timestamps are the timing pass's
-#: own ``dispatch >= arrival`` / ``finish >= dispatch`` invariants.
+#: Timed requests are built from the columns via ``__new__`` plus six
+#: ``__dict__`` item stores (a keyword ``update`` would build a dict per
+#: request): equal objects to the ``Request`` constructor's, minus the
+#: ``__post_init__`` revalidation -- the addresses come from validated
+#: requests and the timestamps are the timing pass's own
+#: ``dispatch >= arrival`` / ``finish >= dispatch`` invariants.
 _NEW_REQUEST = Request.__new__
 
 
@@ -56,7 +58,7 @@ def fallback_reasons(device, trace=None, first_arrival_us=None) -> Tuple[str, ..
             f"unknown {REPLAY_FASTPATH_ENV}={mode!r}: "
             "expected auto, off, or require"
         )
-    reasons = decide(device, trace, first_arrival_us=first_arrival_us).reasons
+    reasons = decide(device, trace, first_arrival_us=first_arrival_us)
     if reasons and mode == "require":
         raise FastPathUnavailable(
             f"{REPLAY_FASTPATH_ENV}={mode} but the fast path is "
@@ -77,41 +79,8 @@ def fast_replay(device, trace: Trace):
     seq numbers), which count events that deliberately never existed --
     the ``FAULT_RETRY`` events of read retries among them.
     """
-    from repro.emmc.device import ReplayResult  # local: avoids cycle
-
-    requests = trace.requests
-    stats = device.stats
-    if not requests:
-        # Kernel parity: drain() fires nothing, nothing changes.
-        return ReplayResult(
-            trace=trace.with_requests([]),
-            stats=stats,
-            config_name=device.config.name,
-            engine="fast",
-        )
-
     columns = trace.columns()
-    plan = plan_trace(device, columns)
-    outcome = compute_timing(device, plan, columns.arrival_us)
-    dispatch_arr, finish_arr = _apply(device, plan, outcome, columns.arrival_us)
-
-    completed = []
-    append = completed.append
-    new = _NEW_REQUEST
-    for request, dispatch, finish in zip(
-        requests, outcome.dispatch_us, outcome.finish_us
-    ):
-        timed = new(Request)
-        fields = timed.__dict__
-        fields.update(request.__dict__)
-        fields["service_start_us"] = dispatch
-        fields["finish_us"] = finish
-        append(timed)
-    result_trace = trace.with_requests(completed)
-    result_trace._adopt_columns(
-        _timed_columns(columns.arrival_us, dispatch_arr, finish_arr, columns)
-    )
-    return _result(device, result_trace, plan)
+    return _replay(device, trace, columns, columns.arrival_us)
 
 
 def fast_replay_closed_loop(device, lba, size, ops, gaps_us, synchronous, name):
@@ -125,63 +94,70 @@ def fast_replay_closed_loop(device, lba, size, ops, gaps_us, synchronous, name):
     column coming out of the timing pass instead of going in.  The end
     state is the one the kernel path leaves after its final ``drain()``.
     """
+    count = len(ops)
+    write = Op.WRITE
+    # The planner reads only lba/size/op; arrivals do not exist yet.
+    unknown = np.full(count, np.nan)
+    stream = TraceColumns(
+        unknown, unknown, unknown, lba, size,
+        np.array([op is write for op in ops], dtype=np.uint8),
+        np.zeros(count, dtype=np.uint8),
+    )
+    return _replay(device, Trace(name, []), stream, None, gaps_us, synchronous)
+
+
+def _replay(device, template: Trace, stream, arrival_us, gaps_us=None, synchronous=None):
+    """Plan, time, apply and assemble: the one body of both entries.
+
+    ``stream`` holds the requests' lba/size/op columns; ``arrival_us``
+    and the pacing arguments go to the timing pass.  The result trace is
+    ``template`` holding the timed requests, built from the columns.
+    """
     from repro.emmc.device import ReplayResult  # local: avoids cycle
 
-    count = len(ops)
-    if not count:
+    if not len(stream):
+        # Kernel parity: drain() fires nothing, nothing changes.
         return ReplayResult(
-            trace=Trace(name, []),
+            trace=template.with_requests([]),
             stats=device.stats,
             config_name=device.config.name,
             engine="fast",
         )
-    write = Op.WRITE
-    op_column = np.array([op is write for op in ops], dtype=np.uint8)
-    # The planner reads only lba/size/op; arrivals do not exist yet.
-    unknown = np.full(count, np.nan)
-    stream = TraceColumns(
-        unknown, unknown, unknown, lba, size, op_column,
-        np.zeros(count, dtype=np.uint8),
-    )
     plan = plan_trace(device, stream)
-    outcome = compute_timing(device, plan, None, gaps_us, synchronous)
+    outcome = compute_timing(device, plan, arrival_us, gaps_us, synchronous)
     arrival_arr = np.array(outcome.arrival_us, dtype=np.float64)
-    dispatch_arr, finish_arr = _apply(device, plan, outcome, arrival_arr)
+    dispatch_arr, finish_arr = _apply(device, outcome, arrival_arr)
 
     completed = []
     append = completed.append
     new = _NEW_REQUEST
-    for arrival, lba_i, size_i, op, dispatch, finish in zip(
+    read, write = Op.READ, Op.WRITE
+    for arrival, lba, size, op, dispatch, finish in zip(
         outcome.arrival_us,
         stream.lba.tolist(),
         stream.size.tolist(),
-        ops,
+        stream.op.tolist(),
         outcome.dispatch_us,
         outcome.finish_us,
     ):
         timed = new(Request)
-        timed.__dict__.update(
-            arrival_us=arrival,
-            lba=lba_i,
-            size=size_i,
-            op=op,
-            service_start_us=dispatch,
-            finish_us=finish,
-        )
+        fields = timed.__dict__
+        fields["arrival_us"] = arrival
+        fields["lba"] = lba
+        fields["size"] = size
+        fields["op"] = write if op else read
+        fields["service_start_us"] = dispatch
+        fields["finish_us"] = finish
         append(timed)
-    result_trace = Trace(name, completed)
+    result_trace = template.with_requests(completed)
+    flags = np.full(len(stream), FLAG_HAS_SERVICE | FLAG_HAS_FINISH, dtype=np.uint8)
     result_trace._adopt_columns(
-        _timed_columns(arrival_arr, dispatch_arr, finish_arr, stream)
+        TraceColumns(
+            arrival_arr, dispatch_arr, finish_arr, stream.lba, stream.size, stream.op, flags
+        )
     )
-    return _result(device, result_trace, plan)
-
-
-def _result(device, trace, plan):
-    """The fast path's ``ReplayResult``, with the planner's decision counts."""
-    from repro.emmc.device import ReplayResult  # local: avoids cycle
-
     return ReplayResult(
-        trace=trace,
+        trace=result_trace,
         stats=device.stats,
         config_name=device.config.name,
         engine="fast",
@@ -191,21 +167,15 @@ def _result(device, trace, plan):
     )
 
 
-def _timed_columns(arrival_arr, dispatch_arr, finish_arr, stream) -> TraceColumns:
-    """The replayed trace's columns: timestamps plus the stream's lba/size/op."""
-    flags = np.full(len(stream), FLAG_HAS_SERVICE | FLAG_HAS_FINISH, dtype=np.uint8)
-    return TraceColumns(
-        arrival_arr, dispatch_arr, finish_arr, stream.lba, stream.size, stream.op, flags
-    )
+def _apply(device, outcome, arrival_arr):
+    """Fold the timing outcome into the device; the shared apply step.
 
-
-def _apply(device, plan, outcome, arrival_arr):
-    """Fold a plan and its timing outcome into the device; the shared apply step.
-
-    The admission queue, power state and resource frontiers are already
-    in ``device.timing``, which the timing pass advanced; its
-    accumulators go back to the stats here.  Returns the dispatch and
-    finish columns.
+    The planner and the device's write and read steps have already
+    accounted the requests' bytes and ops, and the admission queue,
+    power state and resource frontiers are in ``device.timing``, which
+    the timing pass advanced; its accumulators and the per-request
+    samples go to the stats here.  Returns the dispatch and finish
+    columns.
     """
     stats = device.stats
     dispatch_arr = np.array(outcome.dispatch_us, dtype=np.float64)
@@ -222,16 +192,6 @@ def _apply(device, plan, outcome, arrival_arr):
     stats.response_us.extend(response_arr.tolist())
     stats.requests += n
     stats.no_wait_requests += int(np.count_nonzero(wait_arr <= 1e-9))
-    stats.data_bytes_written += plan.data_bytes_written
-    stats.flash_bytes_consumed += plan.flash_bytes_consumed
-    stats.data_bytes_read += plan.data_bytes_read
-    stats.gc_collections += plan.gc_collections
-    stats.gc_migrated_slots += plan.gc_migrated_slots
-    stats.preloaded_pages += plan.preloaded_pages
-    for kind, count in plan.page_reads.items():
-        stats.page_reads[kind] = stats.page_reads.get(kind, 0) + count
-    for kind, count in plan.page_programs.items():
-        stats.page_programs[kind] = stats.page_programs.get(kind, 0) + count
     device.timing.store(stats)
     if device.faults is not None:
         device._sync_fault_stats()

@@ -113,7 +113,9 @@ def _first_difference(left, right) -> Optional[object]:
         differing = np.flatnonzero(raw.any(axis=1))
         return int(differing[0]) if len(differing) else count
     if isinstance(left, dict) and isinstance(right, dict):
-        for key in sorted(set(left) | set(right)):
+        # LPNs in order; page kinds, which do not order, by name.
+        keys = sorted(set(left) | set(right), key=lambda key: getattr(key, "name", key))
+        for key in keys:
             if left.get(key) != right.get(key):
                 return key
         return None

@@ -8,7 +8,7 @@ per request:
   by touching its mapping, blocks or free lists itself, and
 * emits the request's flash operations -- kind, busy unit, channel, unit
   latency, channel transfer latency, GC flag: the op rows of
-  :mod:`repro.emmc.reserve` -- appended to flat per-op arrays, with a
+  :mod:`repro.emmc.reserve` -- appended to flat per-op columns, with a
   per-request offset table.
 
 Two walk speeds coexist.  The *slim* path handles the overwhelmingly
@@ -16,10 +16,14 @@ common cases arithmetically: a write whose groups cannot trigger GC
 (every touched pool stays above the threshold even after every block
 this request opens, :meth:`Pool.gc_safe`), and a read that touches only
 pre-trace data (the closed-form preload placement).  Everything else --
-GC-risky writes, reads of rewritten data -- goes through the real
-:meth:`Ftl.write` / :meth:`Ftl.read` for that one request, so state stays
-exact without the planner re-implementing GC, wear leveling or victim
-policies.
+GC-risky writes, every write of a device whose program failures are
+armed, reads of rewritten data -- goes through the device's own write
+and read steps (:meth:`EmmcDevice.write_step` / :meth:`EmmcDevice.read_step`,
+the ones the event kernel's expansion calls, around :meth:`Ftl.write` /
+:meth:`Ftl.read`) for that one request, so state, accounting and fault
+draws stay exact without the planner re-implementing GC, wear leveling,
+victim policies or bad-block retirement.  Erase failures need no such
+rule: they fire only inside GC, which a slim write never runs.
 
 The slim paths are proven equivalent to the kernel's:
 
@@ -35,17 +39,16 @@ The slim paths are proven equivalent to the kernel's:
   ascending LPNs, with the same per-group payloads; its first-touch LPNs
   are mapped by :meth:`Ftl.preload`, the routine ``Ftl.read`` uses.
 
-The planner never touches ``DeviceStats`` -- accounting rides in the
-returned :class:`ReplayPlan` and is applied once by the engine, after
-the timing pass, in the same order the kernel would have accumulated it.
+The device's steps account their own requests.  The planner adds the
+rest -- host bytes, and the slim walks' flash bytes, preloaded pages and
+per-kind op counts -- to ``device.stats`` once, at the end of the pass.
+The timing pass accounts the reservations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
-import numpy as np
+from typing import List
 
 from repro.emmc.reserve import PROGRAM, READ
 from repro.trace import SECTOR
@@ -53,39 +56,25 @@ from repro.trace import SECTOR
 
 @dataclass
 class ReplayPlan:
-    """Per-request flash-op schedule plus accounting deltas for one trace."""
+    """The op rows of one trace, plus the planner's decision counts."""
 
-    #: One row per flash op, in dispatch order (uint8 row kinds of
-    #: :mod:`repro.emmc.reserve`).
-    op_kind: np.ndarray
+    #: One entry per flash op, in dispatch order: the row kind
+    #: (:mod:`repro.emmc.reserve` codes).
+    op_kind: List[int]
     #: Busy-unit index per op (die, or plane with ``multi_plane``).
-    op_unit: np.ndarray
+    op_unit: List[int]
     #: Channel index per op (unused for erases, kept aligned).
-    op_channel: np.ndarray
+    op_channel: List[int]
     #: Unit occupation per op: read/program/erase latency, microseconds.
-    op_unit_us: np.ndarray
+    op_unit_us: List[float]
     #: Channel occupation per op (0.0 for erases), microseconds.
-    op_transfer_us: np.ndarray
+    op_transfer_us: List[float]
     #: True for ops garbage collection generated (copy-back skips their
     #: channel transfers).
-    op_gc: np.ndarray
+    op_gc: List[bool]
     #: Length ``n_requests + 1``: ops of request ``i`` are rows
     #: ``req_ops[i]:req_ops[i+1]``.
-    req_ops: np.ndarray
-
-    # -- accounting deltas (applied to DeviceStats by the engine) ----------
-    data_bytes_written: int
-    flash_bytes_consumed: int
-    data_bytes_read: int
-    gc_collections: int
-    gc_migrated_slots: int
-    preloaded_pages: int
-    #: Per-kind op-count deltas, insertion-ordered by first op occurrence
-    #: (merging them preserves the kernel's dict insertion order).
-    page_reads: Dict
-    page_programs: Dict
-
-    # -- telemetry ----------------------------------------------------------
+    req_ops: List[int]
     slim_writes: int
     slim_reads: int
     fallback_requests: int
@@ -106,11 +95,15 @@ class _Planner:
         geometry = device.geometry
         latency = device.latency
         self.ftl = ftl
+        self.write_step = device.write_step
+        self.read_step = device.read_step
+        #: Program failures are drawn per write group inside Ftl.write, so
+        #: no write may take the slim path.
+        self.program_faults = ftl.faults is not None and ftl.faults.program_active
         self.num_planes = geometry.num_planes
-        # The device's op-row converter: per-plane unit/channel, per-kind
+        # The device's op-row tables: per-plane unit/channel, per-kind
         # latencies and the memoised transfer times.
         op_rows = device.op_rows
-        self.op_rows = op_rows
         self.unit_of = op_rows.unit_of
         self.chan_of = op_rows.chan_of
         self._transfer_of = op_rows.transfer_us
@@ -126,18 +119,14 @@ class _Planner:
             [self.chan_of[(c + i) % self.num_planes] for i in planes_range]
             for c in planes_range
         ]
-        # Everything per kind is a list indexed by the FTL's kind index,
-        # so no per-request path hashes a PageKind.
         kinds = ftl.kinds
-        self.kinds = kinds
         distributor = device.distributor
-        self.distributor = distributor
         large = distributor.largest
         small = distributor.smallest
+        self.large_kind = large
+        self.small_kind = small
         self.hybrid = distributor.hybrid
         self.slots_per_large = large.slots
-        self.large_index = kinds.index(large)
-        self.small_index = kinds.index(small)
         self.large_pools = [ftl.pool(plane, large) for plane in planes_range]
         self.small_pools = [ftl.pool(plane, small) for plane in planes_range]
         # PageKind.bytes/.slots are computed properties and the per-write
@@ -145,15 +134,15 @@ class _Planner:
         # per-request paths.
         self.large_bytes = large.bytes
         self.small_bytes = small.bytes
-        self.large_program_us = op_rows.program_us[self.large_index]
-        self.small_program_us = op_rows.program_us[self.small_index]
+        self.large_program_us = op_rows.program_us[kinds.index(large)]
+        self.small_program_us = op_rows.program_us[kinds.index(small)]
         self.large_transfer_us = latency.transfer_us(self.large_bytes)
         self.small_transfer_us = latency.transfer_us(self.small_bytes)
         preload_kind = ftl.preload_kind
-        self.preload_index = kinds.index(preload_kind)
+        self.preload_kind = preload_kind
         self.preload_slots = preload_kind.slots
         self.preload_slot_bytes = preload_kind.bytes // self.preload_slots
-        self.preload_read_us = op_rows.read_us[self.preload_index]
+        self.preload_read_us = op_rows.read_us[kinds.index(preload_kind)]
         self.preload_full_transfer_us = latency.transfer_us(
             self.preload_slots * self.preload_slot_bytes
         )
@@ -183,44 +172,26 @@ class _Planner:
         for lpn in written:
             self.written[lpn - base] = 1
 
-        # Per-op output columns (lists; converted once at the end).
+        # Per-op output columns.
         self.op_kind: List[int] = []
         self.op_unit: List[int] = []
         self.op_channel: List[int] = []
         self.op_unit_us: List[float] = []
         self.op_transfer_us: List[float] = []
-        #: Positions of the GC rows (only the FTL's own paths emit them).
-        self.gc_rows: List[int] = []
+        self.op_gc: List[bool] = []
         self.req_ops: List[int] = [0]
 
-        # Accounting deltas.
-        self.data_bytes_written = 0
-        self.flash_bytes_consumed = 0
-        self.data_bytes_read = 0
-        self.gc_collections = 0
-        self.gc_migrated_slots = 0
+        # The slim walks' accounting, added to the stats once per pass.
+        self.flash_bytes = 0
         self.preloaded_pages = 0
-        # Per-kind op counts, plus the kind indices in first-count order
-        # (the order the kernel's stats dicts gain their keys in).
-        self.page_reads = [0] * len(kinds)
-        self.page_programs = [0] * len(kinds)
-        self.read_order: List[int] = []
-        self.program_order: List[int] = []
+        self.large_programs = 0
+        self.small_programs = 0
+        self.preload_reads = 0
         self.slim_writes = 0
         self.slim_reads = 0
         self.fallback_requests = 0
 
     # -- helpers -----------------------------------------------------------
-
-    def _count_reads(self, index: int, count: int) -> None:
-        if not self.page_reads[index]:
-            self.read_order.append(index)
-        self.page_reads[index] += count
-
-    def _count_programs(self, index: int, count: int) -> None:
-        if not self.page_programs[index]:
-            self.program_order.append(index)
-        self.page_programs[index] += count
 
     def _extend_planes(self, cursor: int, count: int) -> None:
         """Append ``count`` unit/channel rows striped from ``cursor``."""
@@ -235,45 +206,56 @@ class _Planner:
             self.op_unit.extend(unit_pattern * full + unit_pattern[:rem])
             self.op_channel.extend(chan_pattern * full + chan_pattern[:rem])
 
+    def _extend_rows(self, rows) -> None:
+        """Append the op rows a device step returned (never empty)."""
+        kind, unit, channel, unit_us, transfer_us, gc = zip(*rows)
+        self.op_kind.extend(kind)
+        self.op_unit.extend(unit)
+        self.op_channel.extend(channel)
+        self.op_unit_us.extend(unit_us)
+        self.op_transfer_us.extend(transfer_us)
+        self.op_gc.extend(gc)
+
     # -- the walk ----------------------------------------------------------
 
     def run(self) -> ReplayPlan:
         columns = self.columns
-        lba_list = columns.lba.tolist()
-        size_list = columns.size.tolist()
-        op_list = columns.op.tolist()
         req_ops_append = self.req_ops.append
-        for i, lba in enumerate(lba_list):
-            first = lba // SECTOR
-            pages = size_list[i] // SECTOR
-            if op_list[i]:
-                self._plan_write(first, pages)
+        op_kind = self.op_kind
+        for lba, size, write in zip(
+            columns.lba.tolist(), columns.size.tolist(), columns.op.tolist()
+        ):
+            if write:
+                self._plan_write(lba // SECTOR, size // SECTOR)
             else:
-                self._plan_read(first, pages, size_list[i])
-            req_ops_append(len(self.op_kind))
-        kinds = self.kinds
-        op_gc = np.zeros(len(self.op_kind), dtype=bool)
-        op_gc[self.gc_rows] = True
+                self._plan_read(lba // SECTOR, size // SECTOR)
+            req_ops_append(len(op_kind))
+        self._account()
         return ReplayPlan(
-            op_kind=np.array(self.op_kind, dtype=np.uint8),
-            op_unit=np.array(self.op_unit, dtype=np.int32),
-            op_channel=np.array(self.op_channel, dtype=np.int32),
-            op_unit_us=np.array(self.op_unit_us, dtype=np.float64),
-            op_transfer_us=np.array(self.op_transfer_us, dtype=np.float64),
-            op_gc=op_gc,
-            req_ops=np.array(self.req_ops, dtype=np.int64),
-            data_bytes_written=self.data_bytes_written,
-            flash_bytes_consumed=self.flash_bytes_consumed,
-            data_bytes_read=self.data_bytes_read,
-            gc_collections=self.gc_collections,
-            gc_migrated_slots=self.gc_migrated_slots,
-            preloaded_pages=self.preloaded_pages,
-            page_reads={kinds[i]: self.page_reads[i] for i in self.read_order},
-            page_programs={kinds[i]: self.page_programs[i] for i in self.program_order},
+            op_kind=op_kind,
+            op_unit=self.op_unit,
+            op_channel=self.op_channel,
+            op_unit_us=self.op_unit_us,
+            op_transfer_us=self.op_transfer_us,
+            op_gc=self.op_gc,
+            req_ops=self.req_ops,
             slim_writes=self.slim_writes,
             slim_reads=self.slim_reads,
             fallback_requests=self.fallback_requests,
         )
+
+    def _account(self) -> None:
+        """Add the host bytes and the slim walks' accounting to the stats."""
+        columns = self.columns
+        stats = self.device.stats
+        writes = columns.op != 0
+        stats.data_bytes_written += int(columns.size[writes].sum())
+        stats.data_bytes_read += int(columns.size[~writes].sum())
+        stats.flash_bytes_consumed += self.flash_bytes
+        stats.preloaded_pages += self.preloaded_pages
+        stats.record_op_counts(self.large_kind, programs=self.large_programs)
+        stats.record_op_counts(self.small_kind, programs=self.small_programs)
+        stats.record_op_counts(self.preload_kind, reads=self.preload_reads)
 
     # -- writes ------------------------------------------------------------
 
@@ -291,7 +273,7 @@ class _Planner:
             n_large, n_small = n_full, 0
         ftl = self.ftl
         cursor = ftl.cursor
-        if not self._write_fits(cursor, n_large, n_small):
+        if self.program_faults or not self._write_fits(cursor, n_large, n_small):
             self._fallback_write(first, pages)
             return
         self.slim_writes += 1
@@ -300,19 +282,17 @@ class _Planner:
 
         # Op emission, in RequestDistributor.pack group order.
         self.op_kind.extend([PROGRAM] * total_groups)
+        self.op_gc.extend([False] * total_groups)
         self._extend_planes(cursor, total_groups)
         if n_large:
             self.op_unit_us.extend([self.large_program_us] * n_large)
             self.op_transfer_us.extend([self.large_transfer_us] * n_large)
-            self._count_programs(self.large_index, n_large)
+            self.large_programs += n_large
         if n_small:
             self.op_unit_us.extend([self.small_program_us] * n_small)
             self.op_transfer_us.extend([self.small_transfer_us] * n_small)
-            self._count_programs(self.small_index, n_small)
-        self.data_bytes_written += pages * SECTOR
-        self.flash_bytes_consumed += (
-            n_large * self.large_bytes + n_small * self.small_bytes
-        )
+            self.small_programs += n_small
+        self.flash_bytes += n_large * self.large_bytes + n_small * self.small_bytes
 
         # State: each plane's full large groups are one run whose slot
         # columns are evenly spaced LPNs, then the tail's groups.
@@ -374,43 +354,17 @@ class _Planner:
         return True
 
     def _fallback_write(self, first: int, pages: int) -> None:
-        """GC possible: run the real FTL write for this one request."""
+        """The device's write step for this one request."""
         self.fallback_requests += 1
-        outcome = self.ftl.write(self.distributor.pack(range(first, first + pages)))
-        self.data_bytes_written += outcome.data_bytes
-        self.flash_bytes_consumed += outcome.flash_bytes
-        self.gc_collections += len(outcome.gc_results)
-        self.gc_migrated_slots += sum(
-            result.migrated_slots for result in outcome.gc_results
-        )
-        self._emit_flash_ops(outcome.ops)
+        self._extend_rows(self.write_step(range(first, first + pages)))
         span = slice(first - self.base, first + pages - self.base)
         ones = self._ones[:pages]
         self.written[span] = ones
         self.mapped[span] = ones
 
-    def _emit_flash_ops(self, ops) -> None:
-        """Append the rows of real FlashOps (fallback paths), in order."""
-        kind_index = self.kinds.index
-        for op, (kind, unit, channel, unit_us, transfer_us, gc) in zip(
-            ops, self.op_rows.of(ops)
-        ):
-            if gc:
-                self.gc_rows.append(len(self.op_kind))
-            self.op_kind.append(kind)
-            self.op_unit.append(unit)
-            self.op_channel.append(channel)
-            self.op_unit_us.append(unit_us)
-            self.op_transfer_us.append(transfer_us)
-            if kind == READ:
-                self._count_reads(kind_index(op.kind), 1)
-            elif kind == PROGRAM:
-                self._count_programs(kind_index(op.kind), 1)
-
     # -- reads -------------------------------------------------------------
 
-    def _plan_read(self, first: int, pages: int, size: int) -> None:
-        self.data_bytes_read += size
+    def _plan_read(self, first: int, pages: int) -> None:
         end = first + pages
         span = slice(first - self.base, end - self.base)  # bitmap indices
         if 1 in self.written[span]:
@@ -432,8 +386,10 @@ class _Planner:
             self.op_channel.append(self.chan_of[plane])
             self.op_unit_us.append(self.preload_read_us)
             self.op_transfer_us.append(self._transfer_of(pages * slot_bytes))
+            self.op_gc.append(False)
         else:
             self.op_kind.extend([READ] * n_ops)
+            self.op_gc.extend([False] * n_ops)
             self._extend_planes(group_first % self.num_planes, n_ops)
             self.op_unit_us.extend([self.preload_read_us] * n_ops)
             first_count = (group_first + 1) * S - first
@@ -442,7 +398,7 @@ class _Planner:
             transfers[0] = self._transfer_of(first_count * slot_bytes)
             transfers[-1] = self._transfer_of(last_count * slot_bytes)
             self.op_transfer_us.extend(transfers)
-        self._count_reads(self.preload_index, n_ops)
+        self.preload_reads += n_ops
         # First-touch LPNs get their preload mapping entry, exactly as
         # Ftl.read would have inserted it.
         segment = self.mapped[span]
@@ -456,9 +412,7 @@ class _Planner:
             self.mapped[span] = self._ones[:pages]
 
     def _fallback_read(self, first: int, end: int) -> None:
-        """The segment holds rewritten data: real FTL lookup/grouping."""
+        """The segment holds rewritten data: the device's read step."""
         self.fallback_requests += 1
-        outcome = self.ftl.read(list(range(first, end)))
-        self.preloaded_pages += outcome.preloaded_pages
-        self._emit_flash_ops(outcome.ops)
+        self._extend_rows(self.read_step(range(first, end)))
         self.mapped[first - self.base : end - self.base] = self._ones[: end - first]

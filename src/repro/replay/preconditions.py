@@ -1,12 +1,14 @@
 """Eligibility rules for the replay fast path.
 
 The two-pass engine models exactly one device behaviour: ``queue_depth=1``
-FIFO service with no RAM buffer, no program/erase fault injection, no
-idle-time GC, page mapping, and a kernel that holds nothing but the
-device's own speculative timers.  Transient read faults and copy-back GC
-are modeled: both engines reserve op rows through one routine
-(:func:`repro.emmc.reserve.reserve`), whose ECC-retry branch draws the
-read faults and whose rows carry the GC flag copy-back needs.
+FIFO service with no RAM buffer, no idle-time GC, page mapping, and a
+kernel that holds nothing but the device's own speculative timers.
+Fault plans and copy-back GC are modeled.  Both engines reserve op rows
+through one routine (:func:`repro.emmc.reserve.reserve`), whose
+ECC-retry branch draws the read faults and whose rows carry the GC flag
+copy-back needs.  Program and erase failures fire inside ``Ftl.write``,
+which the planner runs through the device's own write step for every
+write of a device whose program failures are armed.
 Everything else falls back to the event kernel -- correctness first,
 speed second.
 
@@ -16,7 +18,6 @@ every ``Host.replay`` and ``Host.replay_closed_loop`` call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 #: Environment switch for the dispatcher (read by
@@ -32,19 +33,8 @@ from typing import Tuple
 REPLAY_FASTPATH_ENV = "REPRO_REPLAY_FASTPATH"
 
 
-@dataclass(frozen=True)
-class FastPathDecision:
-    """Outcome of the eligibility check, with human-readable reasons."""
-
-    eligible: bool
-    reasons: Tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.eligible
-
-
-def decide(device, trace=None, first_arrival_us=None) -> FastPathDecision:
-    """Whether ``device`` can replay ``trace`` on the fast path.
+def decide(device, trace=None, first_arrival_us=None) -> Tuple[str, ...]:
+    """Why ``device`` cannot replay ``trace`` on the fast path.
 
     Every reason returned names a behaviour the two-pass engine does not
     model; an empty tuple means the fast path is bit-exact for this
@@ -58,11 +48,6 @@ def decide(device, trace=None, first_arrival_us=None) -> FastPathDecision:
         reasons.append(f"queue_depth={config.queue_depth} (fast path models depth 1)")
     if device.buffer is not None:
         reasons.append("RAM buffer attached (absorption/eviction is event-driven)")
-    faults = device.faults
-    if faults is not None and (faults.program_active or faults.erase_active):
-        reasons.append(
-            "program/erase fault injection armed (failures fire inside Ftl.write)"
-        )
     if config.idle_gc:
         reasons.append("idle-time GC enabled (IDLE_GC timers fire between requests)")
     if config.mapping_scheme != "page":
@@ -82,7 +67,7 @@ def decide(device, trace=None, first_arrival_us=None) -> FastPathDecision:
     if kernel.pending_material():
         reasons.append("kernel holds pending material events (foreign producers)")
     if reasons:
-        return FastPathDecision(False, tuple(reasons))
+        return tuple(reasons)
     # The only live events allowed on the kernel are the device's own
     # speculative timers -- anything else (another device sharing the
     # loop, app-stack ops) could interleave with the replay.
@@ -98,4 +83,4 @@ def decide(device, trace=None, first_arrival_us=None) -> FastPathDecision:
         # The kernel would raise SimTimeError scheduling this arrival;
         # fall back so the error surfaces identically.
         reasons.append("first arrival precedes the kernel clock")
-    return FastPathDecision(not reasons, tuple(reasons))
+    return tuple(reasons)

@@ -89,8 +89,6 @@ def compute_timing(
     and ``synchronous`` flags; each arrival is then computed from the
     previous completion (see *Closed loop* in the module docstring).
     """
-    command_overhead = device.latency.command_overhead_us
-
     timer = device._power_down_timer
     timer_pending = timer is not None and not timer.canceled
     timer_deadline = timer.time_us if timer_pending else 0.0
@@ -101,18 +99,19 @@ def compute_timing(
 
     # One op row per flash op, (kind, unit, channel, unit_us, transfer_us,
     # gc), consumed strictly in order: request i takes the next
-    # req_ops[i + 1] - req_ops[i] rows.  The rows stream out of one zip
-    # over the .tolist() columns, never a list of per-op tuples (zip
-    # reuses its result tuple once the routine has unpacked it).
+    # req_ops[i + 1] - req_ops[i] rows, at least one (every request reads
+    # or programs a page).  The rows stream out of one zip over the plan's
+    # columns, never a list of per-op tuples (zip reuses its result tuple
+    # once the routine has unpacked it).
     rows = zip(
-        plan.op_kind.tolist(),
-        plan.op_unit.tolist(),
-        plan.op_channel.tolist(),
-        plan.op_unit_us.tolist(),
-        plan.op_transfer_us.tolist(),
-        plan.op_gc.tolist(),
+        plan.op_kind,
+        plan.op_unit,
+        plan.op_channel,
+        plan.op_unit_us,
+        plan.op_transfer_us,
+        plan.op_gc,
     )
-    req_ops = plan.req_ops.tolist()
+    req_ops = plan.req_ops
     closed_loop = arrival_us is None
     if closed_loop:
         # Filled in by the recurrence as the loop goes; the first arrival
@@ -146,11 +145,8 @@ def compute_timing(
 
         dispatch, start = admit(state, arrival)
         boundary = req_ops[index + 1]
-        if position == boundary:
-            finish = start + command_overhead  # _absorbed_latency, no buffer
-        else:
-            finish = reserve(state, islice(rows, boundary - position), start, faults)
-            position = boundary
+        finish = reserve(state, islice(rows, boundary - position), start, faults)
+        position = boundary
         complete(state, finish)
 
         # The re-armed timer.

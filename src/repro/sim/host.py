@@ -57,7 +57,7 @@ class Host:
         *event*, in completion order.
 
         When the replay is eligible (queue_depth=1, no RAM buffer, no
-        program/erase faults, no foreign kernel events -- see
+        idle-time GC, no telemetry sink, no foreign kernel events -- see
         :mod:`repro.replay.preconditions`) it is lowered onto the
         two-pass columnar fast path, which is bit-identical to the event
         kernel; anything else, or ``REPRO_REPLAY_FASTPATH=off``, takes

@@ -164,6 +164,20 @@ class TestGcUnderPressure:
         assert with_idle.idle_gc_collections > 0
         assert with_idle.gc_collections < baseline.gc_collections
 
+    def test_idle_gc_reserves_its_ops(self):
+        """Idle collections occupy the units: their erases count as busy time."""
+        device = EmmcDevice(
+            small_four_ps(
+                idle_gc=True, idle_gc_min_gap_us=1000.0, idle_gc_soft_threshold=64
+            )
+        )
+        for i in range(3000):
+            device.submit(_req(i * 5000.0, (i % 400) * 16 * KIB, 16 * KIB))
+        stats = device.stats
+        assert stats.idle_gc_collections > 0
+        assert stats.erases >= stats.idle_gc_collections
+        assert stats.busy_erase_us == stats.erases * device.latency.erase_us
+
 
 class TestRamBufferPath:
     def test_buffered_device_absorbs_rewrites(self):

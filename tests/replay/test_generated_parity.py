@@ -4,11 +4,12 @@ Fixed grids (``test_parity.py``) cover the paper's workloads; this suite
 draws the inputs instead.  Hypothesis picks a small geometry -- 1-2
 channels, 1-2 planes per die, 6-24 blocks per kind, 4-32 pages per
 block, a GC threshold of 1-3, a 4PS/8PS/HPS mix, ``multi_plane`` and
-``gc_copyback`` -- a transient read-fault plan (error rate 0, 0.05, 0.3
-or 0.6, a retry limit of 0-3, no backoff or 37.5-200 us), and a seed for
-a hidden-state request generator, after Harrison et al.'s hidden-Markov
-storage workloads.  Its states emit the shapes that
-independent random draws rarely reach:
+``gc_copyback`` -- a fault plan (transient reads at an error rate of 0,
+0.05, 0.3 or 0.6 with a retry limit of 0-3 and no backoff or 37.5-200
+us; program failures at 0, 0.01 or 0.05 and erase failures at 0, 0.02
+or 0.1 with 2-8 spare blocks), and a seed for a hidden-state request
+generator, after Harrison et al.'s hidden-Markov storage workloads.
+Its states emit the shapes that independent random draws rarely reach:
 
 * rewrite bursts over a small hot set (stale-copy invalidation, GC);
 * long writes across the span that fill the device toward its GC
@@ -23,8 +24,10 @@ independent random draws rarely reach:
 Every example replays on both engines, open and closed loop.  They must
 end in equal full-state snapshots -- the fault injector's stream state
 included, so both engines must draw exactly as often -- with the FTL
-invariants intact, or both raise :class:`OutOfSpaceError` (the fill
-level runs some examples past the device's capacity on purpose).
+invariants intact, or both raise the same error: :class:`OutOfSpaceError`
+(the fill level runs some examples past the device's capacity on
+purpose) or :class:`SparePoolExhausted` (program and erase failures
+retire blocks until a pool's spares run out).
 """
 
 import os
@@ -37,7 +40,7 @@ from hypothesis import strategies as st
 
 from repro.emmc import EmmcDevice, Geometry, OutOfSpaceError, PageKind
 from repro.emmc.device import DeviceConfig
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, SparePoolExhausted
 from repro.replay import REPLAY_FASTPATH_ENV
 from repro.replay.parity import compare, snapshot
 from repro.sim import Host
@@ -48,6 +51,10 @@ MIXES = {
     "8PS": (PageKind.K8,),
     "HPS": (PageKind.K4, PageKind.K8),
 }
+
+#: Program and erase failure rates; half the plans arm neither.
+PROGRAM_RATES = (0.0, 0.0, 0.01, 0.05)
+ERASE_RATES = (0.0, 0.0, 0.02, 0.1)
 
 #: Hidden states.  TIE and IDLE borrow another state's request shape and
 #: only change its arrival.
@@ -78,8 +85,12 @@ def configs(draw):
     )
 
 
+#: The errors both engines must raise alike, or the example fails.
+DEVICE_ERRORS = (OutOfSpaceError, SparePoolExhausted)
+
+
 @st.composite
-def read_fault_plans(draw):
+def fault_plans(draw):
     return FaultPlan(
         seed=draw(st.integers(0, 2**32 - 1)),
         read_error_rate=draw(st.sampled_from((0.0, 0.05, 0.3, 0.6))),
@@ -87,6 +98,9 @@ def read_fault_plans(draw):
         read_retry_backoff_us=draw(
             st.one_of(st.just(0.0), st.floats(37.5, 200.0))
         ),
+        program_error_rate=draw(st.sampled_from(PROGRAM_RATES)),
+        erase_error_rate=draw(st.sampled_from(ERASE_RATES)),
+        spare_blocks_per_plane=draw(st.integers(2, 8)),
     )
 
 
@@ -153,8 +167,8 @@ def open_loop_trace(config, plan, rows):
     An IDLE row arrives exactly at the power-down deadline its
     predecessor leaves behind.  The deadline comes from a pacing device,
     under the same fault plan, fed one request at a time on the event
-    kernel; if the pacer runs out of space, later IDLE rows fall back to
-    their plain gap.
+    kernel; if the pacer runs out of space or spares, later IDLE rows
+    fall back to their plain gap.
     """
     pacer = EmmcDevice(config, faults=plan)
     pacing = True
@@ -170,7 +184,7 @@ def open_loop_trace(config, plan, rows):
         if pacing:
             try:
                 pacer.submit(request)
-            except OutOfSpaceError:
+            except DEVICE_ERRORS:
                 pacing = False
     return Trace("hidden-state", requests)
 
@@ -189,19 +203,20 @@ def _engine(mode):
 
 
 def _replay(config, plan, mode, call):
+    """``(device, result, None)``, or ``(device, None, error type)``."""
     with _engine(mode):
         device = EmmcDevice(config, faults=plan)
         try:
-            return device, call(Host(device))
-        except OutOfSpaceError:
-            return device, None
+            return device, call(Host(device)), None
+        except DEVICE_ERRORS as error:
+            return device, None, type(error)
 
 
 def _assert_engines_agree(config, plan, call):
-    kernel_device, kernel_result = _replay(config, plan, "off", call)
-    fast_device, fast_result = _replay(config, plan, "require", call)
-    if kernel_result is None or fast_result is None:
-        assert kernel_result is None and fast_result is None
+    kernel_device, kernel_result, kernel_error = _replay(config, plan, "off", call)
+    fast_device, fast_result, fast_error = _replay(config, plan, "require", call)
+    assert kernel_error is fast_error
+    if kernel_error is not None:
         return
     assert compare(
         snapshot(kernel_device, kernel_result), snapshot(fast_device, fast_result)
@@ -212,7 +227,7 @@ def _assert_engines_agree(config, plan, call):
 
 EXAMPLE = dict(
     config=configs(),
-    plan=read_fault_plans(),
+    plan=fault_plans(),
     seed=st.integers(0, 2**32 - 1),
     fill=st.sampled_from((0.25, 0.5, 0.8, 1.1)),
     count=st.integers(10, 150),

@@ -133,6 +133,15 @@ def test_snapshot_checks_the_queue_and_power_state():
     ]
 
 
+def test_compare_names_the_first_differing_page_kind():
+    """Per-kind op counts are dicts keyed by PageKind, which cannot be sorted."""
+    from repro.emmc import PageKind
+
+    before = {"stats.page_programs": {PageKind.K4: 3, PageKind.K8: 1}}
+    after = {"stats.page_programs": {PageKind.K8: 2, PageKind.K4: 3}}
+    assert compare(before, after) == ["stats.page_programs at 8K: 1 vs 2"]
+
+
 def test_mixed_fast_and_kernel_runs_digest_identically(monkeypatch):
     """Interleaving fast and kernel replays on one device changes nothing.
 
