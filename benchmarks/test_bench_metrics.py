@@ -22,7 +22,7 @@ import time
 
 from repro.metrics import all_metrics, batch_values, fold_chunks, summary_metrics
 from repro.store import open_store, pack
-from repro.trace import Op, dumps, loads
+from repro.trace import Op, TraceColumns, dumps, loads
 from repro.workloads import generate_trace
 
 from conftest import BENCH_SEED, run_once
@@ -72,9 +72,9 @@ def test_registry_batch_battery_speedup_over_oracles(benchmark):
 
     def measure():
         # Charge the registry side the full struct-of-arrays build.
-        trace.invalidate_columns()
         start = time.perf_counter()
-        registry = batch_values(metrics, trace.columns(), trace.name)
+        columns = TraceColumns.from_requests(trace.requests)
+        registry = batch_values(metrics, columns, trace.name)
         registry_s = time.perf_counter() - start
         start = time.perf_counter()
         oracle = _oracle_battery(trace)

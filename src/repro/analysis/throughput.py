@@ -57,14 +57,14 @@ def measure_throughput(
         window = max(size, device.capacity_bytes // 2 // size * size)
         # Back to back: each request arrives at the previous completion
         # (zero think time, every request synchronous).
-        trace = Host(device).replay_closed_loop(
+        columns = Host(device).replay_closed_loop(
             [index * size % window for index in range(count)],
             [size] * count,
             [op] * count,
             [0.0] * (count - 1),
             [True] * (count - 1),
-        ).trace
-        elapsed_s = (trace[-1].finish_us - trace[0].arrival_us) / US_PER_S
+        ).trace.columns()
+        elapsed_s = float(columns.complete_us[-1] - columns.arrival_us[0]) / US_PER_S
         points.append(
             ThroughputPoint(size_bytes=size, mb_per_s=count * size / 1e6 / elapsed_s)
         )

@@ -135,7 +135,7 @@ def _cmd_stack(args) -> int:
 def _cmd_convert(args) -> int:
     trace = parse_blkparse(args.input)
     write_trace(trace, args.output)
-    completed = sum(1 for r in trace if r.completed)
+    completed = int(trace.columns().completed_mask.sum())
     print(
         f"converted {len(trace)} requests ({completed} with full timestamps) "
         f"to {args.output}"

@@ -107,17 +107,15 @@ class BlockMappedFtl:
         """Program the given 4K write groups, merging logs as needed."""
         ops: List[FlashOp] = []
         gc_results: List[GcResult] = []
-        data_bytes = 0
+        flash_bytes = 0
         for group in groups:
             if group.kind is not PageKind.K4:
                 raise ValueError("hybrid FTL accepts 4K write groups only")
             (lpn,) = group.lpns
             assert lpn is not None
             ops.extend(self._write_page(lpn, gc_results))
-            data_bytes += PageKind.K4.bytes
-        return WriteOutcome(
-            ops=ops, data_bytes=data_bytes, flash_bytes=data_bytes, gc_results=gc_results
-        )
+            flash_bytes += PageKind.K4.bytes
+        return WriteOutcome(ops=ops, flash_bytes=flash_bytes, gc_results=gc_results)
 
     def _write_page(self, lpn: int, gc_results: List[GcResult]) -> List[FlashOp]:
         logical_block, page = divmod(lpn, self.pages_per_block)

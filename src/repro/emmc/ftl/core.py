@@ -44,14 +44,8 @@ class WriteOutcome:
     """Flash ops for one host write, plus accounting."""
 
     ops: List[FlashOp]
-    data_bytes: int
     flash_bytes: int
     gc_results: List[GcResult] = field(default_factory=list)
-
-    @property
-    def padding_bytes(self) -> int:
-        """Flash consumed beyond the host data (8PS-style waste)."""
-        return self.flash_bytes - self.data_bytes
 
 
 @dataclass(frozen=True)
@@ -218,7 +212,6 @@ class Ftl:
         """Program the given write groups, running GC where needed."""
         ops: List[FlashOp] = []
         gc_results: List[GcResult] = []
-        data_bytes = 0
         flash_bytes = 0
         kinds = self.kinds
         pool_at = self._pool_at
@@ -253,7 +246,6 @@ class Ftl:
                     )
             self.program(pool, block, list(zip(group.lpns)))
             ops.append(FlashOp(_PROGRAM, plane, kind, pool.page_bytes))
-            data_bytes += group.data_slots * pool.slot_bytes
             flash_bytes += pool.page_bytes
         if self.telemetry is not None:
             self.telemetry.add_event(
@@ -263,9 +255,7 @@ class Ftl:
                 track="ftl",
                 args=(len(ops), flash_bytes),
             )
-        return WriteOutcome(
-            ops=ops, data_bytes=data_bytes, flash_bytes=flash_bytes, gc_results=gc_results
-        )
+        return WriteOutcome(ops=ops, flash_bytes=flash_bytes, gc_results=gc_results)
 
     def _allocate_with_gc(
         self, pool: Pool, ops: List[FlashOp], gc_results: List[GcResult]

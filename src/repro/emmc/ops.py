@@ -64,13 +64,3 @@ class WriteGroup:
             )
         if all(lpn is None for lpn in self.lpns):
             raise ValueError("write group carries no data")
-
-    @property
-    def data_slots(self) -> int:
-        """Slots carrying host data (the rest is padding)."""
-        return sum(1 for lpn in self.lpns if lpn is not None)
-
-    @property
-    def padding_bytes(self) -> int:
-        """Flash bytes consumed without holding host data."""
-        return (self.kind.slots - self.data_slots) * (self.kind.bytes // self.kind.slots)

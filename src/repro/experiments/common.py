@@ -256,11 +256,9 @@ def replay_on(config: DeviceConfig, trace: Trace, faults=None) -> ReplayResult:
     (see :func:`_telemetry_from_env`) -- recording only, never a
     behaviour change.
 
-    Columnar wiring: generated traces arrive here already carrying their
-    struct-of-arrays view (adopted at synthesis time), and
-    ``without_timing`` preserves it zero-copy for never-replayed traces,
-    so the analysis kernels downstream of a replay never pay a
-    Request-unpacking pass for the input side.
+    Columnar wiring: a trace is its columns, and ``without_timing``
+    shares them for never-replayed traces, so a fast-path replay never
+    builds a ``Request`` for the input side.
     """
     if faults is None:
         faults = _fault_plan_from_env()

@@ -50,10 +50,8 @@ def replay_app(
     Returns both readouts of each scheme's single replay:
     ``{"mrt": {scheme: ms}, "utilization": {scheme: ratio}}``.
     """
-    # Strip timing once and pre-build the columnar view: the three scheme
-    # replays then share the same column arrays zero-copy.
+    # Strip timing once: the three scheme replays share its columns.
     trace = cached_trace(app, seed=seed, num_requests=num_requests).without_timing()
-    trace.columns()
     mrt: Dict[str, float] = {}
     utilization: Dict[str, float] = {}
     for scheme, config in _configs().items():

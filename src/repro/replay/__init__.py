@@ -27,7 +27,8 @@ The fast path is split into:
 * :mod:`repro.replay.engine` -- orchestration: one body for open and
   closed loop runs both passes, applies the rest of the resulting
   device state (per-request samples, kernel clock and timers), and
-  assembles the ``ReplayResult`` with a ready-made columnar view.
+  assembles the ``ReplayResult``, whose trace is built from the timing
+  columns without a ``Request`` object.
 
 The contract is **bit-identity**: a fast-path replay must leave the
 device -- stats, FTL, mapping, timing state, kernel clock --

@@ -18,7 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.trace import Op, Request, Trace
+from repro.trace import Op, Trace
 from repro.trace.columns import FLAG_HAS_FINISH, FLAG_HAS_SERVICE, TraceColumns
 
 from .planner import plan_trace
@@ -28,15 +28,6 @@ from .timing import compute_timing
 
 class FastPathUnavailable(RuntimeError):
     """``REPRO_REPLAY_FASTPATH=require`` but the replay is ineligible."""
-
-
-#: Timed requests are built from the columns via ``__new__`` plus six
-#: ``__dict__`` item stores (a keyword ``update`` would build a dict per
-#: request): equal objects to the ``Request`` constructor's, minus the
-#: ``__post_init__`` revalidation -- the addresses come from validated
-#: requests and the timestamps are the timing pass's own
-#: ``dispatch >= arrival`` / ``finish >= dispatch`` invariants.
-_NEW_REQUEST = Request.__new__
 
 
 def fallback_reasons(device, trace=None, first_arrival_us=None) -> Tuple[str, ...]:
@@ -80,7 +71,7 @@ def fast_replay(device, trace: Trace):
     the ``FAULT_RETRY`` events of read retries among them.
     """
     columns = trace.columns()
-    return _replay(device, trace, columns, columns.arrival_us)
+    return _replay(device, trace.name, trace.metadata, columns, columns.arrival_us)
 
 
 def fast_replay_closed_loop(device, lba, size, ops, gaps_us, synchronous, name):
@@ -94,31 +85,29 @@ def fast_replay_closed_loop(device, lba, size, ops, gaps_us, synchronous, name):
     column coming out of the timing pass instead of going in.  The end
     state is the one the kernel path leaves after its final ``drain()``.
     """
-    count = len(ops)
     write = Op.WRITE
     # The planner reads only lba/size/op; arrivals do not exist yet.
-    unknown = np.full(count, np.nan)
-    stream = TraceColumns(
-        unknown, unknown, unknown, lba, size,
+    stream = TraceColumns.untimed(
+        np.full(len(ops), np.nan), lba, size,
         np.array([op is write for op in ops], dtype=np.uint8),
-        np.zeros(count, dtype=np.uint8),
     )
-    return _replay(device, Trace(name, []), stream, None, gaps_us, synchronous)
+    return _replay(device, name, {}, stream, None, gaps_us, synchronous)
 
 
-def _replay(device, template: Trace, stream, arrival_us, gaps_us=None, synchronous=None):
+def _replay(device, name, metadata, stream, arrival_us, gaps_us=None, synchronous=None):
     """Plan, time, apply and assemble: the one body of both entries.
 
     ``stream`` holds the requests' lba/size/op columns; ``arrival_us``
-    and the pacing arguments go to the timing pass.  The result trace is
-    ``template`` holding the timed requests, built from the columns.
+    and the pacing arguments go to the timing pass.  The result trace,
+    named ``name`` with a copy of ``metadata``, is ``stream`` with the
+    timing pass's arrival, dispatch and finish columns.
     """
     from repro.emmc.device import ReplayResult  # local: avoids cycle
 
     if not len(stream):
         # Kernel parity: drain() fires nothing, nothing changes.
         return ReplayResult(
-            trace=template.with_requests([]),
+            trace=Trace(name, metadata=dict(metadata)),
             stats=device.stats,
             config_name=device.config.name,
             engine="fast",
@@ -127,37 +116,12 @@ def _replay(device, template: Trace, stream, arrival_us, gaps_us=None, synchrono
     outcome = compute_timing(device, plan, arrival_us, gaps_us, synchronous)
     arrival_arr = np.array(outcome.arrival_us, dtype=np.float64)
     dispatch_arr, finish_arr = _apply(device, outcome, arrival_arr)
-
-    completed = []
-    append = completed.append
-    new = _NEW_REQUEST
-    read, write = Op.READ, Op.WRITE
-    for arrival, lba, size, op, dispatch, finish in zip(
-        outcome.arrival_us,
-        stream.lba.tolist(),
-        stream.size.tolist(),
-        stream.op.tolist(),
-        outcome.dispatch_us,
-        outcome.finish_us,
-    ):
-        timed = new(Request)
-        fields = timed.__dict__
-        fields["arrival_us"] = arrival
-        fields["lba"] = lba
-        fields["size"] = size
-        fields["op"] = write if op else read
-        fields["service_start_us"] = dispatch
-        fields["finish_us"] = finish
-        append(timed)
-    result_trace = template.with_requests(completed)
     flags = np.full(len(stream), FLAG_HAS_SERVICE | FLAG_HAS_FINISH, dtype=np.uint8)
-    result_trace._adopt_columns(
-        TraceColumns(
-            arrival_arr, dispatch_arr, finish_arr, stream.lba, stream.size, stream.op, flags
-        )
+    timed = TraceColumns(
+        arrival_arr, dispatch_arr, finish_arr, stream.lba, stream.size, stream.op, flags
     )
     return ReplayResult(
-        trace=result_trace,
+        trace=Trace.from_columns(name, timed, dict(metadata)),
         stats=device.stats,
         config_name=device.config.name,
         engine="fast",

@@ -14,11 +14,9 @@ every piece of state a replay can touch through public views:
   write pointer, valid count, bad flag and the slots of its written
   pages), the free-list order and active block of every pool, the
   striping cursor and the GC totals;
-* optionally a replay result's timed requests and, separately, the
-  columns of its trace (arrival, service start, completion, address,
-  size, op and flags).  The fast path builds those columns from its own
-  timing arrays instead of deriving them from the requests, and the
-  metrics read them, so they are checked as their own state.
+* optionally the columns of a replay result's trace (arrival, service
+  start, completion, address, size, op and flags): the trace *is* its
+  columns, and its requests are built from them.
 
 :func:`compare` diffs two snapshots and returns one line per mismatch,
 naming the first diverging element of a list or column.  Columns compare
@@ -32,12 +30,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-State = Dict[str, object]
+from repro.trace.columns import COLUMN_NAMES
 
-#: The :class:`~repro.trace.TraceColumns` arrays a snapshot records.
-TRACE_COLUMNS = (
-    "arrival_us", "service_start_us", "complete_us", "lba", "size", "op", "flags",
-)
+State = Dict[str, object]
 
 
 def snapshot(device, result=None) -> State:
@@ -61,9 +56,8 @@ def snapshot(device, result=None) -> State:
     state["ftl.pools"] = ftl.pool_rows()
     state["ftl.gc"] = (ftl.gc_results_total, ftl.gc_migrated_slots)
     if result is not None:
-        state["trace.requests"] = list(result.trace)
         columns = result.trace.columns()
-        for name in TRACE_COLUMNS:
+        for name in COLUMN_NAMES:
             state[f"trace.columns.{name}"] = np.array(getattr(columns, name))
     return state
 

@@ -78,7 +78,7 @@ def decide(device, trace=None, first_arrival_us=None) -> Tuple[str, ...]:
     if len(kernel) != own_timers:
         reasons.append("kernel holds events the fast path cannot model")
     if trace is not None and len(trace):
-        first_arrival_us = trace[0].arrival_us
+        first_arrival_us = trace.start_us
     if first_arrival_us is not None and first_arrival_us < kernel.now_us:
         # The kernel would raise SimTimeError scheduling this arrival;
         # fall back so the error surfaces identically.

@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.trace import Trace, TraceColumns
+from repro.trace.columns import is_arrival_sorted
 
 from .table import (
     QUARANTINE_SUFFIX,
@@ -50,7 +51,7 @@ from .table import (
     write_chunk,
     write_json,
 )
-from .trace import TRACE_SCHEMA, as_table_columns, is_arrival_sorted
+from .trace import TRACE_SCHEMA, as_table_columns
 
 
 @dataclass

@@ -22,6 +22,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from repro.trace import Request, Trace, TraceColumns
+from repro.trace.columns import is_arrival_sorted
 
 from .table import Manifest, PathLike, Schema, Table, TableWriter
 
@@ -53,24 +54,9 @@ def as_table_columns(columns: TraceColumns) -> Dict[str, np.ndarray]:
     return {name: getattr(columns, name) for name, _ in TRACE_SCHEMA.columns}
 
 
-def is_arrival_sorted(arrivals: np.ndarray) -> bool:
-    """True when ``arrivals`` never decreases."""
-    return arrivals.size < 2 or not bool(np.any(np.diff(arrivals) < 0))
-
-
 def concat_columns(pieces: Sequence[TraceColumns]) -> TraceColumns:
     """Concatenate column sets into one (empty input -> empty columns)."""
-    pieces = [piece for piece in pieces if len(piece)]
-    if not pieces:
-        return TraceColumns.empty()
-    if len(pieces) == 1:
-        return pieces[0]
-    return TraceColumns(
-        *(
-            np.concatenate([getattr(piece, name) for piece in pieces])
-            for name, _ in TRACE_SCHEMA.columns
-        )
-    )
+    return TraceColumns.concat(pieces)
 
 
 class StoreWriter(TableWriter):
@@ -114,7 +100,7 @@ class StoreWriter(TableWriter):
             self.append_columns(TraceColumns.from_requests(list(requests)))
 
     def append_trace(self, trace: Trace) -> None:
-        """Queue a whole trace's columns (adopts its cached view)."""
+        """Queue a whole trace's columns."""
         self.append_columns(trace.columns())
 
 
@@ -258,15 +244,13 @@ class TraceStore(Table):
     def to_trace(self) -> Trace:
         """Materialize the full in-memory :class:`~repro.trace.Trace`.
 
-        For arrival-sorted stores the columns are adopted directly
-        ("columns from birth"); an unsorted store (e.g. a raw blkparse
-        import) goes through the ``Trace`` constructor, whose stable
-        arrival sort reproduces the whole-file parse exactly.
+        The stored columns become the trace's columns.  Every row is
+        checked as ``Request`` checks it (a store is input from outside
+        the program), and an unsorted store (e.g. a raw blkparse import)
+        is stably sorted by arrival, which reproduces the whole-file
+        parse exactly.
         """
-        columns = self.columns()
-        if self.arrival_sorted:
-            return Trace.from_columns(self.name, columns, metadata=self.metadata)
-        return Trace(name=self.name, requests=columns.to_requests(), metadata=self.metadata)
+        return Trace.from_columns(self.name, self.columns(), metadata=self.metadata)
 
 
 def open_store(path: PathLike) -> TraceStore:

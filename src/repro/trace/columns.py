@@ -3,10 +3,11 @@
 The characterization experiments (Tables III/IV, Figs. 4-7) walk the 25
 traces request-by-request; at ~240k requests per full run the pure-Python
 loops over :class:`~repro.trace.record.Request` dataclasses dominate
-wall-clock.  :class:`TraceColumns` is the struct-of-arrays view the
+wall-clock.  :class:`TraceColumns` is the struct-of-arrays form the
 vectorized analysis kernels consume instead: one contiguous NumPy array
-per request field, built once per trace and cached on the ``Trace``
-(see :meth:`repro.trace.Trace.columns`).
+per request field.  A :class:`~repro.trace.Trace` *is* one of these (see
+:meth:`repro.trace.Trace.columns`); its ``Request`` records are a view
+built from it.
 
 Column schema (all arrays share one length, one row per request, in
 arrival order):
@@ -58,6 +59,11 @@ FLAG_HAS_FINISH = 0x2
 OP_READ = 0
 OP_WRITE = 1
 
+#: The seven columns, in schema order.
+COLUMN_NAMES = (
+    "arrival_us", "service_start_us", "complete_us", "lba", "size", "op", "flags",
+)
+
 
 def sequential_sum(values: np.ndarray) -> float:
     """Left-to-right float sum, bit-identical to ``sum(list_of_floats)``.
@@ -73,28 +79,22 @@ def sequential_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(array, dtype=np.float64)[-1])
 
 
-class TraceColumns:
-    """Immutable-by-convention struct-of-arrays view of one trace.
+def is_arrival_sorted(arrivals: np.ndarray) -> bool:
+    """True when ``arrivals`` never decreases."""
+    return arrivals.size < 2 or not bool(np.any(np.diff(arrivals) < 0))
 
-    Instances are cheap façades over seven NumPy arrays; they are built
-    via :meth:`from_requests` (or directly by the workload generator,
-    which synthesizes the arrays first and materializes ``Request``
-    objects second).  Do not mutate the arrays in place -- the owning
-    ``Trace`` caches this object and would serve stale analysis results.
+
+class TraceColumns:
+    """Immutable-by-convention struct-of-arrays rows of one trace.
+
+    Instances are cheap façades over seven NumPy arrays, built from
+    arrays (the workload generator, the scaling transforms, the CSV
+    reader, the trace store and the replay fast path) or via
+    :meth:`from_requests`.  Do not mutate the arrays in place: traces
+    share them, and the cached masks and request views would go stale.
     """
 
-    __slots__ = (
-        "arrival_us",
-        "service_start_us",
-        "complete_us",
-        "lba",
-        "size",
-        "op",
-        "flags",
-        "_read_mask",
-        "_write_mask",
-        "_completed_mask",
-    )
+    __slots__ = COLUMN_NAMES + ("_read_mask", "_write_mask", "_completed_mask")
 
     def __init__(
         self,
@@ -145,33 +145,56 @@ class TraceColumns:
         return cls(arrival, service, complete, lba, size, op, flags)
 
     @classmethod
+    def untimed(cls, arrival_us, lba, size, op) -> "TraceColumns":
+        """Rows never replayed on a device: no service start, no finish."""
+        count = len(arrival_us)
+        never = np.full(count, np.nan)
+        return cls(arrival_us, never, never.copy(), lba, size, op, np.zeros(count, np.uint8))
+
+    @classmethod
     def empty(cls) -> "TraceColumns":
         """A zero-length column set."""
-        f64 = np.empty(0, dtype=np.float64)
-        i64 = np.empty(0, dtype=np.int64)
-        u8 = np.empty(0, dtype=np.uint8)
-        return cls(f64, f64.copy(), f64.copy(), i64, i64.copy(), u8, u8.copy())
+        return cls.untimed(np.empty(0), np.empty(0), np.empty(0), np.empty(0))
+
+    @classmethod
+    def concat(cls, pieces: Sequence["TraceColumns"]) -> "TraceColumns":
+        """The rows of ``pieces``, one after another (none: empty columns)."""
+        pieces = [piece for piece in pieces if len(piece)]
+        if not pieces:
+            return cls.empty()
+        if len(pieces) == 1:
+            return pieces[0]
+        return cls(
+            *(np.concatenate([getattr(piece, name) for piece in pieces]) for name in COLUMN_NAMES)
+        )
 
     def to_requests(self) -> List[Request]:
-        """Materialize :class:`Request` objects (the simulator-facing view)."""
+        """Materialize :class:`Request` objects (the simulator-facing view).
+
+        Whole columns convert with ``.tolist()``: Python floats and ints
+        straight from the arrays, no NumPy scalar per field.
+        """
         read, write = Op.READ, Op.WRITE
-        requests: List[Request] = []
-        has_service = (self.flags & FLAG_HAS_SERVICE) != 0
-        has_finish = (self.flags & FLAG_HAS_FINISH) != 0
-        for i in range(len(self)):
-            requests.append(
-                Request(
-                    arrival_us=float(self.arrival_us[i]),
-                    lba=int(self.lba[i]),
-                    size=int(self.size[i]),
-                    op=write if self.op[i] else read,
-                    service_start_us=float(self.service_start_us[i])
-                    if has_service[i]
-                    else None,
-                    finish_us=float(self.complete_us[i]) if has_finish[i] else None,
-                )
+        flags = self.flags.tolist()
+        service = [
+            value if flag & FLAG_HAS_SERVICE else None
+            for value, flag in zip(self.service_start_us.tolist(), flags)
+        ]
+        finish = [
+            value if flag & FLAG_HAS_FINISH else None
+            for value, flag in zip(self.complete_us.tolist(), flags)
+        ]
+        return [
+            Request(arrival, lba, size, write if op else read, start, end)
+            for arrival, lba, size, op, start, end in zip(
+                self.arrival_us.tolist(),
+                self.lba.tolist(),
+                self.size.tolist(),
+                self.op.tolist(),
+                service,
+                finish,
             )
-        return requests
+        ]
 
     # -- container ------------------------------------------------------------
 
@@ -184,15 +207,7 @@ class TraceColumns:
         A plain ``slice`` yields zero-copy views of every column; boolean
         masks and fancy index arrays follow NumPy semantics and copy.
         """
-        return TraceColumns(
-            self.arrival_us[index],
-            self.service_start_us[index],
-            self.complete_us[index],
-            self.lba[index],
-            self.size[index],
-            self.op[index],
-            self.flags[index],
-        )
+        return TraceColumns(*(getattr(self, name)[index] for name in COLUMN_NAMES))
 
     # -- derived masks (cached) ----------------------------------------------
 
@@ -249,15 +264,7 @@ class TraceColumns:
     # -- pickling (``__slots__`` has no ``__dict__``) -------------------------
 
     def __getstate__(self):
-        return (
-            self.arrival_us,
-            self.service_start_us,
-            self.complete_us,
-            self.lba,
-            self.size,
-            self.op,
-            self.flags,
-        )
+        return tuple(getattr(self, name) for name in COLUMN_NAMES)
 
     def __setstate__(self, state) -> None:
         self.__init__(*state)

@@ -19,15 +19,14 @@ written as ``\\\\``, ``\\n`` and ``\\r`` in both, and ``=`` is escaped as
 values may contain ``=`` verbatim, as they always could).  Files written
 before escaping existed contain no backslashes and parse unchanged.
 
-Both directions are vectorized over the trace's columnar view: the
-writer renders whole columns (``repr`` per float via ``.tolist()``, bulk
-string joins) instead of looping over ``Request`` objects, and the
-reader splits the body into column lists and adopts the resulting
-:class:`~repro.trace.columns.TraceColumns` directly via
-:meth:`Trace.from_columns`, so a freshly read trace carries its
-struct-of-arrays view without a rebuild pass.  The emitted bytes are
-identical to the old per-request ``csv`` module path (header lines end
-``\\n``, data rows end ``\\r\\n``, floats are ``repr``-rendered).
+Both directions work on the trace's columns: the writer renders whole
+columns (``repr`` per float via ``.tolist()``, bulk string joins), and
+the reader splits the body into column lists and hands the resulting
+:class:`~repro.trace.columns.TraceColumns` to :meth:`Trace.from_columns`,
+which checks each row as ``Request`` does and restores arrival order.
+The emitted bytes are identical to a per-request ``csv`` module writer
+(header lines end ``\\n``, data rows end ``\\r\\n``, floats are
+``repr``-rendered).
 """
 
 from __future__ import annotations
@@ -35,12 +34,12 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Dict, List, TextIO, Tuple, Union
+from typing import Dict, Iterable, List, TextIO, Tuple, Union
 
 import numpy as np
 
-from .columns import FLAG_HAS_FINISH, FLAG_HAS_SERVICE, OP_WRITE, TraceColumns
-from .record import Op, Request
+from .columns import FLAG_HAS_FINISH, FLAG_HAS_SERVICE, TraceColumns
+from .record import Op
 from .trace import Trace
 
 _FIELDS = ["arrival_us", "lba", "size", "op", "service_start_us", "finish_us"]
@@ -171,8 +170,8 @@ def read_trace(source: Union[str, Path, TextIO]) -> Trace:
     return _read(source, default_name="trace")
 
 
-def _columns_from_rows(body_lines: List[str]) -> TraceColumns:
-    """Parse CSV body lines (after the header line) into columns."""
+def _columns_from_rows(rows: Iterable[List[str]]) -> TraceColumns:
+    """Parse CSV body rows (after the header line), split into fields."""
     arrival: List[float] = []
     lba: List[int] = []
     size: List[int] = []
@@ -181,10 +180,9 @@ def _columns_from_rows(body_lines: List[str]) -> TraceColumns:
     finish: List[float] = []
     flags: List[int] = []
     nan = float("nan")
-    for line in body_lines:
-        fields = line.rstrip("\r\n").split(",")
+    for fields in rows:
         if len(fields) != 6:
-            raise ValueError(f"malformed trace row: {line!r}")
+            raise ValueError(f"malformed trace row: {','.join(fields)!r}")
         arrival.append(float(fields[0]))
         lba.append(int(fields[1]))
         size.append(int(fields[2]))
@@ -235,33 +233,10 @@ def _read(handle: TextIO, default_name: str) -> Trace:
         raise ValueError(f"unexpected trace header: {next(reader, None)}")
     rows = body_lines[1:]
     if any('"' in line for line in rows):  # pragma: no cover - hand-made files
-        return _read_quoted(rows, name, metadata)
-    columns = _columns_from_rows(rows)
-    arrivals = columns.arrival_us
-    if arrivals.size > 1 and bool(np.any(np.diff(arrivals) < 0)):
-        # Out-of-order rows (e.g. hand-edited files): the Trace
-        # constructor's stable sort restores arrival order.
-        return Trace(name=name, requests=columns.to_requests(), metadata=metadata)
-    return Trace.from_columns(name, columns, metadata=metadata)
-
-
-def _read_quoted(rows: List[str], name: str, metadata: Dict[str, str]) -> Trace:
-    """Slow path for quoted fields (never produced by :func:`write_trace`)."""
-    requests: List[Request] = []
-    for row in csv.reader(io.StringIO("".join(rows))):
-        if not row:
-            continue
-        requests.append(
-            Request(
-                arrival_us=float(row[0]),
-                lba=int(row[1]),
-                size=int(row[2]),
-                op=Op.parse(row[3]),
-                service_start_us=float(row[4]) if row[4] else None,
-                finish_us=float(row[5]) if row[5] else None,
-            )
-        )
-    return Trace(name=name, requests=requests, metadata=metadata)
+        fields = [row for row in csv.reader(io.StringIO("".join(rows))) if row]
+    else:
+        fields = [line.rstrip("\r\n").split(",") for line in rows]
+    return Trace.from_columns(name, _columns_from_rows(fields), metadata=metadata)
 
 
 def dumps(trace: Trace) -> str:

@@ -1,34 +1,58 @@
-"""Trace container: an ordered collection of block-level requests."""
+"""Trace container: a name, metadata and one arrival-ordered column set.
+
+A trace *is* its :class:`~repro.trace.columns.TraceColumns`: the seven
+arrays of the BIOtracer record (arrival, service start, finish, address,
+size, access type and the timestamp flags), one row per request in
+arrival order.  The analysis kernels and the replay fast path read the
+columns; :attr:`Trace.requests` is a read-only tuple of
+:class:`~repro.trace.record.Request` records for per-request consumers
+(the event kernel, the Android stack), built from the columns once on
+first use or kept from the list the constructor was given.  Nothing can
+go stale: there is one set of rows, and the view of it is a tuple.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .columns import FLAG_HAS_FINISH, TraceColumns
-from .record import Op, Request, US_PER_S
+from .columns import COLUMN_NAMES, FLAG_HAS_SERVICE, TraceColumns, is_arrival_sorted
+from .record import Op, Request, SECTOR, US_PER_S
 
 
-def _is_arrival_sorted(requests: List[Request]) -> bool:
-    """O(n) check that ``requests`` is non-decreasing in arrival time.
+def _arrival_order(arrival_us: np.ndarray) -> Optional[np.ndarray]:
+    """The stable arrival sort of out-of-order rows; ``None`` if in order.
 
-    The common construction paths (the workload generator's cumulative-sum
-    arrivals, device replays, ``merge`` of pre-sorted traces re-sorted by
-    ``Trace`` anyway) already deliver arrival order, so ``__post_init__``
-    can skip its O(n log n) sort for them.
+    A stable ``argsort`` keeps tied arrivals in input order, as
+    ``list.sort`` does.
     """
-    previous = None
-    for request in requests:
-        arrival = request.arrival_us
-        if previous is not None and arrival < previous:
-            return False
-        previous = arrival
-    return True
+    return None if is_arrival_sorted(arrival_us) else np.argsort(arrival_us, kind="stable")
 
 
-@dataclass
+def _check_rows(columns: TraceColumns) -> None:
+    """Raise the ``ValueError`` of the first row ``Request`` would reject.
+
+    The same tests as ``Request.__post_init__``, over whole columns; the
+    first failing row is then built as a ``Request``, which raises its
+    own message.
+    """
+    arrival, service = columns.arrival_us, columns.service_start_us
+    has_service = (columns.flags & FLAG_HAS_SERVICE) != 0
+    bad = (
+        (arrival < 0)
+        | (columns.lba < 0)
+        | (columns.lba % SECTOR != 0)
+        | (columns.size <= 0)
+        | (columns.size % SECTOR != 0)
+        | (has_service & (service < arrival))
+        | (columns.completed_mask & (~has_service | (columns.complete_us < service)))
+    )
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        columns.select(rows[:1]).to_requests()
+
+
 class Trace:
     """An ordered (by arrival time) sequence of requests plus metadata.
 
@@ -37,63 +61,30 @@ class Trace:
 
     Attributes:
         name: short identifier, e.g. ``"Twitter"`` or ``"Music/WB"``.
-        requests: records sorted by arrival time.
         metadata: free-form string metadata (e.g. generator seed, profile).
 
-    Besides the ``Request``-level API (which the simulator consumes), a
-    trace lazily exposes a columnar struct-of-arrays view via
-    :meth:`columns` that the vectorized analysis kernels operate on; see
-    :mod:`repro.trace.columns` for the schema and the cache-invalidation
-    contract.
+    Two traces are equal when their names, metadata and columns are
+    (NaN equal to NaN: a missing timestamp equals a missing timestamp),
+    which is equality of their request lists.  A pickle carries the
+    name, the metadata and the columns.
     """
 
-    name: str
-    requests: List[Request] = field(default_factory=list)
-    metadata: Dict[str, str] = field(default_factory=dict)
+    __slots__ = ("name", "metadata", "_columns", "_requests")
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        # Always take our own copy (callers may go on mutating theirs), but
-        # only pay the O(n log n) sort when the input is actually unsorted.
-        requests = list(self.requests)
-        if not _is_arrival_sorted(requests):
-            requests.sort(key=lambda r: r.arrival_us)
-        self.requests = requests
-        # Columnar cache -- deliberately *not* dataclass fields, so that
-        # equality, repr and dataclasses.asdict() are unaffected.
-        self._columns: Optional[TraceColumns] = None
-        self._columns_token = None
-
-    # -- columnar view --------------------------------------------------------
-
-    def columns(self) -> TraceColumns:
-        """The cached struct-of-arrays view of this trace.
-
-        Built lazily on first use and invalidated automatically when the
-        ``requests`` list is rebound or changes length.  **Contract:** a
-        same-length in-place element assignment (``trace.requests[i] = r``)
-        is invisible to this check -- call :meth:`invalidate_columns` after
-        such a mutation.  Treat the returned arrays as read-only.
-        """
-        token = (id(self.requests), len(self.requests))
-        cached = self._columns
-        if cached is not None and self._columns_token == token:
-            return cached
-        cached = TraceColumns.from_requests(self.requests)
-        self._columns = cached
-        self._columns_token = token
-        return cached
-
-    def invalidate_columns(self) -> None:
-        """Drop the cached columnar view (next :meth:`columns` rebuilds)."""
-        self._columns = None
-        self._columns_token = None
-
-    def _adopt_columns(self, columns: TraceColumns) -> None:
-        """Install ``columns`` as the cache for the current request list."""
-        if len(columns) != len(self.requests):
-            raise ValueError("columns length does not match requests")
-        self._columns = columns
-        self._columns_token = (id(self.requests), len(self.requests))
+    def __init__(
+        self,
+        name: str,
+        requests: Iterable[Request] = (),
+        metadata: Optional[Dict[str, str]] = None,
+    ) -> None:
+        requests = tuple(requests)
+        columns = TraceColumns.from_requests(requests)
+        order = _arrival_order(columns.arrival_us)
+        if order is not None:
+            requests = tuple(requests[index] for index in order.tolist())
+            columns = columns.select(order)
+        self._set(name, columns, metadata, requests)
 
     @classmethod
     def from_columns(
@@ -101,51 +92,75 @@ class Trace:
         name: str,
         columns: TraceColumns,
         metadata: Optional[Dict[str, str]] = None,
-        requests: Optional[List[Request]] = None,
     ) -> "Trace":
-        """Build a trace directly from a columnar view.
+        """A trace holding ``columns``: the one column entry.
 
-        ``columns`` must already be in arrival order (the generator's
-        cumulative-sum arrivals are).  When the caller has also
-        materialized the matching ``Request`` list (the generator does,
-        for the simulator), pass it via ``requests`` to skip a second
-        conversion; otherwise it is derived from the columns.
+        Rows are checked as ``Request`` checks them (the first invalid
+        row raises its ``ValueError``), then stably sorted by arrival if
+        they are out of order.
         """
-        arrivals = columns.arrival_us
-        if arrivals.size > 1 and bool(np.any(np.diff(arrivals) < 0)):
-            raise ValueError("from_columns requires arrival-ordered columns")
-        trace = cls(
-            name=name,
-            requests=columns.to_requests() if requests is None else requests,
-            metadata=metadata if metadata is not None else {},
-        )
-        trace._adopt_columns(columns)
+        _check_rows(columns)
+        order = _arrival_order(columns.arrival_us)
+        trace = cls.__new__(cls)
+        trace._set(name, columns if order is None else columns.select(order), metadata, None)
         return trace
 
-    # -- pickling (drop the columnar cache; workers rebuild it lazily) --------
+    def _set(self, name, columns, metadata, requests) -> None:
+        self.name = name
+        self.metadata = {} if metadata is None else metadata
+        self._columns = columns
+        self._requests = requests
+
+    def columns(self) -> TraceColumns:
+        """The trace's struct-of-arrays rows.  Treat the arrays as read-only."""
+        return self._columns
+
+    @property
+    def requests(self) -> Tuple[Request, ...]:
+        """The requests as read-only records, in arrival order."""
+        if self._requests is None:
+            self._requests = tuple(self._columns.to_requests())
+        return self._requests
+
+    # -- equality and pickling -------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        mine, theirs = self._columns, other._columns
+        return (
+            self.name == other.name
+            and self.metadata == other.metadata
+            and len(mine) == len(theirs)
+            and all(
+                np.array_equal(getattr(mine, column), getattr(theirs, column), equal_nan=True)
+                for column in COLUMN_NAMES
+            )
+        )
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_columns"] = None
-        state["_columns_token"] = None
-        return state
+        return self.name, self._columns, self.metadata
 
     def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
+        name, columns, metadata = state
+        self._set(name, columns, metadata, None)
+
+    def __repr__(self) -> str:
+        return f"Trace(name={self.name!r}, requests={len(self)}, metadata={self.metadata!r})"
 
     # -- container protocol ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.requests)
+        return len(self._columns)
 
     def __iter__(self) -> Iterator[Request]:
         return iter(self.requests)
 
-    def __getitem__(self, index: int) -> Request:
+    def __getitem__(self, index):
         return self.requests[index]
 
     def __bool__(self) -> bool:
-        return bool(self.requests)
+        return len(self) > 0
 
     # -- basic aggregates ------------------------------------------------------
 
@@ -162,39 +177,31 @@ class Trace:
     @property
     def total_bytes(self) -> int:
         """Total size of data accessed (the paper's *Data Size*)."""
-        if not self.requests:
-            return 0
-        return int(self.columns().size.sum())
+        return int(self._columns.size.sum())
 
     @property
     def written_bytes(self) -> int:
         """Total bytes written."""
-        if not self.requests:
-            return 0
-        columns = self.columns()
+        columns = self._columns
         return int(columns.size[columns.write_mask].sum())
 
     @property
     def read_bytes(self) -> int:
         """Total bytes read."""
-        if not self.requests:
-            return 0
-        columns = self.columns()
+        columns = self._columns
         return int(columns.size[columns.read_mask].sum())
 
     @property
     def start_us(self) -> float:
         """First arrival time (0 for an empty trace)."""
-        if not self.requests:
-            return 0.0
-        return self.requests[0].arrival_us
+        return float(self._columns.arrival_us[0]) if len(self) else 0.0
 
     @property
     def end_us(self) -> float:
         """Last known event time (finish if replayed, else last arrival)."""
-        if not self.requests:
+        if not len(self):
             return 0.0
-        columns = self.columns()
+        columns = self._columns
         last_arrival = float(columns.arrival_us[-1])
         completed_mask = columns.completed_mask
         if not completed_mask.any():
@@ -214,15 +221,13 @@ class Trace:
     @property
     def completed(self) -> bool:
         """True when every request carries device timestamps."""
-        if not self.requests:
-            return True
-        return bool((self.columns().flags & FLAG_HAS_FINISH).all())
+        return bool(self._columns.completed_mask.all())
 
     def arrival_rate(self) -> float:
         """Requests per second over the recording duration (Table IV)."""
         if self.duration_us <= 0:
             return 0.0
-        return len(self.requests) / self.duration_s
+        return len(self) / self.duration_s
 
     def access_rate_kib_s(self) -> float:
         """Data accessed (read + write) per second, in KiB/s (Table IV)."""
@@ -232,72 +237,68 @@ class Trace:
 
     def inter_arrival_us(self) -> List[float]:
         """Successive arrival-time gaps, one per request after the first."""
-        return self.columns().inter_arrival_us.tolist()
+        return self._columns.inter_arrival_us.tolist()
 
     # -- transformations -------------------------------------------------------
 
+    def _derived(self, columns: TraceColumns, name: Optional[str] = None) -> "Trace":
+        """A trace of ``columns`` with this trace's metadata (copied)."""
+        return Trace.from_columns(name or self.name, columns, dict(self.metadata))
+
     def filter(self, predicate: Callable[[Request], bool], name: Optional[str] = None) -> "Trace":
         """Return a new trace with only requests satisfying ``predicate``."""
-        return Trace(
-            name=name or self.name,
-            requests=[r for r in self.requests if predicate(r)],
-            metadata=dict(self.metadata),
-        )
+        keep = np.array([bool(predicate(r)) for r in self.requests], dtype=bool)
+        return self._derived(self._columns.select(keep), name)
 
     def only(self, op: Op) -> "Trace":
         """Return the read-only or write-only sub-trace."""
-        return self.filter(lambda r: r.op is op, name=f"{self.name}[{op.value}]")
+        columns = self._columns
+        mask = columns.write_mask if op is Op.WRITE else columns.read_mask
+        return self._derived(columns.select(mask), f"{self.name}[{op.value}]")
 
     def window(self, start_us: float, end_us: float) -> "Trace":
         """Return requests arriving in ``[start_us, end_us)``."""
-        return self.filter(lambda r: start_us <= r.arrival_us < end_us)
+        arrival = self._columns.arrival_us
+        return self._derived(self._columns.select((start_us <= arrival) & (arrival < end_us)))
 
     def without_timing(self) -> "Trace":
         """Strip device timestamps (e.g. before replaying on another device).
 
-        Fast path: when the columnar cache is already built and shows no
-        request carries timestamps (``flags`` all zero -- true for every
-        freshly generated trace), there is nothing to strip; the copy
-        shares the frozen ``Request`` objects and adopts the same columns
-        instead of rebuilding both.
+        A trace with no timed row (every freshly generated one) shares
+        its columns with the copy.
         """
         columns = self._columns
-        if (
-            columns is not None
-            and self._columns_token == (id(self.requests), len(self.requests))
-            and not columns.flags.any()
-        ):
-            clone = Trace(
-                name=self.name, requests=self.requests, metadata=dict(self.metadata)
-            )
-            clone._adopt_columns(columns)
-            return clone
-        return Trace(
-            name=self.name,
-            requests=[r.without_timing() for r in self.requests],
-            metadata=dict(self.metadata),
-        )
+        if columns.flags.any():
+            columns = TraceColumns.untimed(columns.arrival_us, columns.lba, columns.size, columns.op)
+        return self._derived(columns)
 
     def rebased(self) -> "Trace":
         """Shift timestamps so the first arrival is at time zero."""
         delta = -self.start_us
-        return Trace(
-            name=self.name,
-            requests=[r.shifted(delta) for r in self.requests],
-            metadata=dict(self.metadata),
+        c = self._columns
+        return self._derived(
+            TraceColumns(
+                c.arrival_us + delta,
+                c.service_start_us + delta,
+                c.complete_us + delta,
+                c.lba,
+                c.size,
+                c.op,
+                c.flags,
+            )
         )
 
     def with_requests(self, requests: Iterable[Request]) -> "Trace":
         """Return a copy of this trace holding ``requests`` instead."""
-        return Trace(name=self.name, requests=list(requests), metadata=dict(self.metadata))
+        return Trace(self.name, requests, dict(self.metadata))
 
 
 def merge(name: str, *traces: Trace) -> Trace:
     """Merge several traces into one ordered stream (timestamps untouched)."""
-    requests: List[Request] = []
     metadata: Dict[str, str] = {}
     for trace in traces:
-        requests.extend(trace.requests)
         for key, value in trace.metadata.items():
             metadata.setdefault(f"{trace.name}.{key}", value)
-    return Trace(name=name, requests=requests, metadata=metadata)
+    return Trace.from_columns(
+        name, TraceColumns.concat([trace.columns() for trace in traces]), metadata
+    )

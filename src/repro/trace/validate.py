@@ -1,8 +1,10 @@
 """Trace invariant checks.
 
-:class:`~repro.trace.record.Request` already enforces per-record invariants
-in ``__post_init__``; this module adds whole-trace checks used by tests and
-by the workload generator's self-validation.
+Per-record invariants are enforced where records enter: in
+``Request.__post_init__`` and, for whole columns (the generator, CSV
+files, stores, replays), in :meth:`~repro.trace.Trace.from_columns`,
+which applies the same tests.  This module adds whole-trace checks used
+by tests and by the workload generator's self-validation.
 """
 
 from __future__ import annotations

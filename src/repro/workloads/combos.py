@@ -14,9 +14,9 @@ time axes.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
-from repro.trace import Request, Trace
+from repro.trace import Trace, TraceColumns
 
 from .generator import DEFAULT_SEED, generate_trace
 from .paper_data import COMBO_COMPONENTS, TABLE_IV
@@ -50,20 +50,10 @@ def interleave(
     """
     if inflation <= 0:
         raise ValueError("inflation must be positive")
-    requests: List[Request] = []
-    for trace in (first.rebased(), second.rebased()):
-        for request in trace:
-            requests.append(
-                Request(
-                    arrival_us=request.arrival_us / inflation,
-                    lba=request.lba,
-                    size=request.size,
-                    op=request.op,
-                )
-            )
-    return Trace(
-        name=name,
-        requests=requests,
+    both = TraceColumns.concat([first.rebased().columns(), second.rebased().columns()])
+    return Trace.from_columns(
+        name,
+        TraceColumns.untimed(both.arrival_us / inflation, both.lba, both.size, both.op),
         metadata={
             "combo.components": f"{first.name}+{second.name}",
             "combo.inflation": f"{inflation:.4f}",

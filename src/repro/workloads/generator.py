@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.locality import temporal_locality
-from repro.trace import Op, Request, SECTOR, Trace, TraceColumns
+from repro.trace import Op, SECTOR, Trace, TraceColumns
 
 from .addresses import AccessMode, AddressModel
 from .profiles import PROFILES, AppProfile, all_profiles, profile
@@ -91,19 +91,8 @@ def _generate(
     rng = _rng_for(app.name, seed, stream)
     arrivals = app.arrival_model().sample_arrivals(count, rng)
     lbas, sizes, ops = _draw_requests(app, rng, address_model, count)
-    requests = [
-        Request(arrival_us=arrival, lba=lba, size=size, op=op)
-        for arrival, lba, size, op in zip(arrivals.tolist(), lbas, sizes, ops)
-    ]
-    never_replayed = np.full(count, np.nan, dtype=np.float64)
-    columns = TraceColumns(
-        arrivals,
-        never_replayed,
-        never_replayed.copy(),
-        np.array(lbas, dtype=np.int64),
-        np.array(sizes, dtype=np.int64),
-        np.array([op is Op.WRITE for op in ops], dtype=np.uint8),
-        np.zeros(count, dtype=np.uint8),
+    columns = TraceColumns.untimed(
+        arrivals, lbas, sizes, np.array([op is Op.WRITE for op in ops], dtype=np.uint8)
     )
     return Trace.from_columns(
         app.name,
@@ -114,7 +103,6 @@ def _generate(
             "profile": app.name,
             "requests": str(count),
         },
-        requests=requests,
     )
 
 

@@ -5,12 +5,11 @@ utilities let experiments ask "what if the same I/O arrived k times
 faster/slower?" or "what if requests were twice as large?" without
 re-calibrating profiles.
 
-Both transforms are vectorized over the trace's columnar view and adopt
-the scaled columns via :meth:`repro.trace.Trace.from_columns`, so fleet
-runs applying per-device scaling never pay a per-request Python loop.
-The retired scalar implementations live on as ``_reference_scale_rate``
-/ ``_reference_scale_sizes``: they are the oracle the unit tests compare
-the vectorized path against, element for element.
+Both transforms scale the trace's columns and hand the result to
+:meth:`repro.trace.Trace.from_columns`, so fleet runs applying
+per-device scaling never pay a per-request Python loop.  The unit tests
+compare them, element for element, against request-at-a-time oracles
+kept in ``tests/``.
 
 Bit-identity argument (the :mod:`repro.trace.columns` rules): dividing
 the arrival column by ``factor`` and multiplying the page column by
@@ -24,8 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.trace import Request, SECTOR, Trace
-from repro.trace.columns import TraceColumns
+from repro.trace import SECTOR, Trace, TraceColumns
 
 
 def scale_rate(trace: Trace, factor: float) -> Trace:
@@ -39,19 +37,11 @@ def scale_rate(trace: Trace, factor: float) -> Trace:
     if factor <= 0:
         raise ValueError("rate factor must be positive")
     columns = trace.columns()
-    nan = np.full(len(columns), np.nan, dtype=np.float64)
-    scaled = TraceColumns(
-        columns.arrival_us / factor,
-        nan,
-        nan.copy(),
-        columns.lba,
-        columns.size,
-        columns.op,
-        np.zeros(len(columns), dtype=np.uint8),
-    )
     return Trace.from_columns(
         name=f"{trace.name}[x{factor:g}]",
-        columns=scaled,
+        columns=TraceColumns.untimed(
+            columns.arrival_us / factor, columns.lba, columns.size, columns.op
+        ),
         metadata={**trace.metadata, "rate_factor": f"{factor:g}"},
     )
 
@@ -63,19 +53,9 @@ def scale_sizes(trace: Trace, factor: float, max_bytes: int = 16 * 1024 * 1024) 
     columns = trace.columns()
     pages = np.maximum(1, np.rint((columns.size // SECTOR) * factor)).astype(np.int64)
     size = np.minimum(pages * SECTOR, max_bytes - max_bytes % SECTOR)
-    nan = np.full(len(columns), np.nan, dtype=np.float64)
-    scaled = TraceColumns(
-        columns.arrival_us,
-        nan,
-        nan.copy(),
-        columns.lba,
-        size,
-        columns.op,
-        np.zeros(len(columns), dtype=np.uint8),
-    )
     return Trace.from_columns(
         name=f"{trace.name}[size x{factor:g}]",
-        columns=scaled,
+        columns=TraceColumns.untimed(columns.arrival_us, columns.lba, size, columns.op),
         metadata={**trace.metadata, "size_factor": f"{factor:g}"},
     )
 
@@ -84,51 +64,6 @@ def truncate(trace: Trace, num_requests: int) -> Trace:
     """Keep only the first ``num_requests`` requests."""
     if num_requests <= 0:
         raise ValueError("num_requests must be positive")
-    return trace.with_requests(trace.requests[:num_requests])
-
-
-# -- scalar reference implementations (test oracles) ---------------------------
-
-
-def _reference_scale_rate(trace: Trace, factor: float) -> Trace:
-    """The original request-at-a-time ``scale_rate`` (oracle only)."""
-    if factor <= 0:
-        raise ValueError("rate factor must be positive")
-    return Trace(
-        name=f"{trace.name}[x{factor:g}]",
-        requests=[
-            Request(
-                arrival_us=request.arrival_us / factor,
-                lba=request.lba,
-                size=request.size,
-                op=request.op,
-            )
-            for request in trace
-        ],
-        metadata={**trace.metadata, "rate_factor": f"{factor:g}"},
-    )
-
-
-def _reference_scale_sizes(
-    trace: Trace, factor: float, max_bytes: int = 16 * 1024 * 1024
-) -> Trace:
-    """The original request-at-a-time ``scale_sizes`` (oracle only)."""
-    if factor <= 0:
-        raise ValueError("size factor must be positive")
-    requests = []
-    for request in trace:
-        pages = max(1, round(request.pages * factor))
-        size = min(pages * SECTOR, max_bytes - max_bytes % SECTOR)
-        requests.append(
-            Request(
-                arrival_us=request.arrival_us,
-                lba=request.lba,
-                size=size,
-                op=request.op,
-            )
-        )
-    return Trace(
-        name=f"{trace.name}[size x{factor:g}]",
-        requests=requests,
-        metadata={**trace.metadata, "size_factor": f"{factor:g}"},
+    return Trace.from_columns(
+        trace.name, trace.columns().select(slice(0, num_requests)), dict(trace.metadata)
     )

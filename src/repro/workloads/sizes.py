@@ -106,18 +106,10 @@ class SizeModel:
         """Draw one request size, in pages.
 
         Stream-compatible with the original ``rng.choice``-based
-        implementation (:meth:`_reference_sample`): identical draws,
-        identical values.
+        implementation (the ``_reference_sample`` test oracle): identical
+        draws, identical values.
         """
         bucket = int(self._bucket_cdf.searchsorted(rng.random(), side="right"))
-        low, high = self.ranges[bucket]
-        if high <= low or rng.random() >= self.spread:
-            return low
-        return int(rng.integers(low + 1, high + 1))
-
-    def _reference_sample(self, rng: np.random.Generator) -> int:
-        """Original ``rng.choice``-based draw (test oracle for :meth:`sample`)."""
-        bucket = int(rng.choice(len(self.fractions), p=list(self.fractions)))
         low, high = self.ranges[bucket]
         if high <= low or rng.random() >= self.spread:
             return low

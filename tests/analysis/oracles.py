@@ -21,13 +21,14 @@ from repro.analysis.locality import Localities
 from repro.analysis.percentiles import DEFAULT_PERCENTILES, _percentiles
 from repro.analysis.size_stats import SizeStats
 from repro.analysis.timing_stats import TimingStats
-from repro.trace import KIB, Op, Trace, US_PER_MS
+from repro.trace import KIB, Op, Request, SECTOR, Trace, US_PER_MS
 from repro.metrics.buckets import (
     Bucket,
     INTERARRIVAL_BUCKETS_MS,
     RESPONSE_BUCKETS_MS,
     SIZE_BUCKETS,
 )
+from repro.workloads.sizes import SizeModel
 
 
 # -- histogram binning (repro.metrics.buckets.histogram) ----------------------
@@ -244,4 +245,63 @@ def _reference_size_response_correlation(
     pearson = _safe_corrcoef(sizes, responses)
     return SizeResponseCorrelation(
         name=trace.name, spearman=spearman, pearson=pearson, samples=len(completed)
+    )
+
+
+# -- size sampling (repro.workloads.sizes.SizeModel.sample) --------------------
+
+
+def _reference_sample(model: SizeModel, rng: np.random.Generator) -> int:
+    """Original ``rng.choice``-based draw (oracle for ``SizeModel.sample``)."""
+    bucket = int(rng.choice(len(model.fractions), p=list(model.fractions)))
+    low, high = model.ranges[bucket]
+    if high <= low or rng.random() >= model.spread:
+        return low
+    return int(rng.integers(low + 1, high + 1))
+
+
+# -- trace scaling (repro.workloads.scaling) -----------------------------------
+
+
+def _reference_scale_rate(trace: Trace, factor: float) -> Trace:
+    """The original request-at-a-time ``scale_rate``."""
+    if factor <= 0:
+        raise ValueError("rate factor must be positive")
+    return Trace(
+        name=f"{trace.name}[x{factor:g}]",
+        requests=[
+            Request(
+                arrival_us=request.arrival_us / factor,
+                lba=request.lba,
+                size=request.size,
+                op=request.op,
+            )
+            for request in trace
+        ],
+        metadata={**trace.metadata, "rate_factor": f"{factor:g}"},
+    )
+
+
+def _reference_scale_sizes(
+    trace: Trace, factor: float, max_bytes: int = 16 * 1024 * 1024
+) -> Trace:
+    """The original request-at-a-time ``scale_sizes``."""
+    if factor <= 0:
+        raise ValueError("size factor must be positive")
+    requests = []
+    for request in trace:
+        pages = max(1, round(request.pages * factor))
+        size = min(pages * SECTOR, max_bytes - max_bytes % SECTOR)
+        requests.append(
+            Request(
+                arrival_us=request.arrival_us,
+                lba=request.lba,
+                size=size,
+                op=request.op,
+            )
+        )
+    return Trace(
+        name=f"{trace.name}[size x{factor:g}]",
+        requests=requests,
+        metadata={**trace.metadata, "size_factor": f"{factor:g}"},
     )

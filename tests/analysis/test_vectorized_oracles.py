@@ -40,6 +40,7 @@ from .oracles import (
     _reference_rank,
     _reference_response_distribution,
     _reference_response_percentiles_ms,
+    _reference_sample,
     _reference_service_percentiles_ms,
     _reference_size_distribution,
     _reference_size_response_correlation,
@@ -203,5 +204,5 @@ def test_size_model_sample_is_stream_identical_to_choice():
     fast_rng = np.random.default_rng(99)
     ref_rng = np.random.default_rng(99)
     for _ in range(5000):
-        assert model.sample(fast_rng) == model._reference_sample(ref_rng)
+        assert model.sample(fast_rng) == _reference_sample(model, ref_rng)
     assert fast_rng.random() == ref_rng.random()

@@ -28,7 +28,7 @@ class TestPaperExample:
         groups = PS8.split_write(_write(20))
         assert [group.kind for group in groups] == [PageKind.K8] * 3
         assert PS8.flash_bytes_for(_write(20)) == 24 * KIB
-        assert groups[-1].padding_bytes == 4 * KIB
+        assert groups[-1].lpns.count(None) == 1  # one 4 KiB slot of padding
         # Space utilization of the request: 20/24 = 83.3 % (paper's number).
         assert 20 / 24 == pytest.approx(0.833, abs=1e-3)
 
@@ -55,7 +55,7 @@ class TestSplitDetails:
     def test_8ps_single_page_padded(self):
         groups = PS8.split_write(_write(4))
         assert groups[0].lpns == (0, None)
-        assert groups[0].padding_bytes == 4 * KIB
+        assert groups[0].lpns.count(None) == 1
 
     def test_groups_cover_all_lpns_once(self):
         request = _write(36, lba=12 * KIB)

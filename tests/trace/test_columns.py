@@ -17,6 +17,7 @@ from repro.trace import (
     TraceColumns,
     sequential_sum,
 )
+from repro.trace.columns import COLUMN_NAMES
 
 
 def _mixed_requests():
@@ -146,72 +147,87 @@ def test_columns_pickle_roundtrip():
     np.testing.assert_array_equal(restored.flags, columns.flags)
 
 
-# -- Trace integration: cache, invalidation, adoption -------------------------
+# -- Trace integration: the trace is its columns ------------------------------
 
 
-def test_trace_columns_cached_until_rebound():
-    trace = Trace(name="t", requests=_mixed_requests())
-    first = trace.columns()
-    assert trace.columns() is first  # cached
-    trace.requests = list(trace.requests)  # rebinding invalidates (new id)
-    assert trace.columns() is not first
-
-
-def test_trace_columns_invalidated_on_length_change():
-    trace = Trace(name="t", requests=_mixed_requests())
-    first = trace.columns()
-    trace.requests.append(
-        Request(arrival_us=50.0, lba=0, size=SECTOR, op=Op.READ)
-    )
-    rebuilt = trace.columns()
-    assert rebuilt is not first
-    assert len(rebuilt) == 5
-
-
-def test_trace_invalidate_columns_explicit():
-    trace = Trace(name="t", requests=_mixed_requests())
-    first = trace.columns()
-    # Same-length in-place element assignment is invisible to the token --
-    # the documented contract requires an explicit invalidation.
-    trace.requests[0] = Request(arrival_us=1.0, lba=0, size=SECTOR, op=Op.WRITE)
-    assert trace.columns() is first
-    trace.invalidate_columns()
-    rebuilt = trace.columns()
-    assert rebuilt is not first
-    assert rebuilt.op[0] == OP_WRITE
-
-
-def test_trace_pickle_drops_columns_cache():
-    trace = Trace(name="t", requests=_mixed_requests())
-    cached = trace.columns()
-    restored = pickle.loads(pickle.dumps(trace))
-    assert restored._columns is None  # lean wire format; rebuilt lazily
-    np.testing.assert_array_equal(restored.columns().lba, cached.lba)
-
-
-def test_from_columns_adopts_cache_and_validates_order():
+def test_request_view_is_one_cached_tuple():
     columns = TraceColumns.from_requests(_mixed_requests())
     trace = Trace.from_columns("t", columns)
-    assert trace.columns() is columns  # adopted, not rebuilt
-    assert trace.requests == _mixed_requests()
-    shuffled = columns.select(np.array([2, 0, 1, 3]))
-    with pytest.raises(ValueError, match="arrival-ordered"):
-        Trace.from_columns("bad", shuffled)
+    assert trace.columns() is columns  # held, not rebuilt
+    view = trace.requests
+    assert isinstance(view, tuple)
+    assert trace.requests is view  # built once
+    assert list(view) == _mixed_requests()
+    with pytest.raises(AttributeError):
+        trace.requests = []
 
 
-def test_without_timing_fast_path_shares_columns():
-    plain = [r.without_timing() for r in _mixed_requests()]
-    columns = TraceColumns.from_requests(plain)
-    trace = Trace.from_columns("t", columns, requests=plain)
-    stripped = trace.without_timing()
-    assert stripped.columns() is columns  # zero-copy: nothing to strip
-    assert stripped.requests == plain
-    # Slow path: a trace with device timestamps really strips them.
-    replayed = Trace(name="r", requests=_mixed_requests())
-    replayed.columns()
-    stripped = replayed.without_timing()
+def test_trace_pickle_carries_columns_not_requests():
+    trace = Trace(name="t", requests=_mixed_requests(), metadata={"k": "v"})
+    trace.requests  # the view exists on this side
+    wire = pickle.dumps(trace)
+    assert b"repro.trace.record" not in wire  # no Request in the pickle
+    restored = pickle.loads(wire)
+    assert restored._requests is None
+    assert restored == trace
+    np.testing.assert_array_equal(restored.columns().lba, trace.columns().lba)
+    assert list(restored) == _mixed_requests()
+    with pytest.raises(TypeError):
+        hash(trace)
+
+
+def test_equality_is_row_equality():
+    trace = Trace(name="t", requests=_mixed_requests())
+    same = Trace.from_columns("t", TraceColumns.from_requests(_mixed_requests()))
+    assert trace == same  # NaN service/finish columns compare equal
+    assert trace != Trace(name="u", requests=_mixed_requests())
+    assert trace != Trace(name="t", requests=_mixed_requests(), metadata={"k": "v"})
+    assert trace != Trace(name="t", requests=_mixed_requests()[:3])
+    moved = _mixed_requests()
+    moved[3] = Request(arrival_us=40.0, lba=4 * SECTOR, size=4 * SECTOR, op=Op.READ)
+    assert trace != Trace(name="t", requests=moved)
+
+
+def test_from_columns_sorts_stably():
+    a = Request(arrival_us=5.0, lba=0, size=SECTOR, op=Op.READ)
+    b = Request(arrival_us=1.0, lba=SECTOR, size=SECTOR, op=Op.WRITE)
+    c = Request(arrival_us=5.0, lba=2 * SECTOR, size=SECTOR, op=Op.WRITE)
+    d = Request(arrival_us=1.0, lba=3 * SECTOR, size=SECTOR, op=Op.READ)
+    trace = Trace.from_columns("t", TraceColumns.from_requests([a, b, c, d]))
+    assert list(trace.requests) == [b, d, a, c]
+    assert list(trace.requests) == list(Trace(name="t", requests=[a, b, c, d]).requests)
+
+
+@pytest.mark.parametrize(
+    "column, row, value, message",
+    [
+        ("arrival_us", 2, -1.0, "arrival_us must be >= 0"),
+        ("lba", 1, 100, "lba must be a non-negative multiple"),
+        ("size", 3, 0, "size must be a positive multiple"),
+        ("service_start_us", 1, 9.0, "service_start_us precedes arrival_us"),
+        ("complete_us", 2, 19.0, "finish_us precedes service_start_us"),
+        ("flags", 1, FLAG_HAS_FINISH, "finish_us set without service_start_us"),
+    ],
+)
+def test_from_columns_rejects_the_first_invalid_row(column, row, value, message):
+    columns = TraceColumns.from_requests(_mixed_requests())
+    bad = getattr(columns, column).copy()
+    bad[row] = value
+    fields = {name: getattr(columns, name) for name in COLUMN_NAMES}
+    fields[column] = bad
+    with pytest.raises(ValueError, match=message):
+        Trace.from_columns("bad", TraceColumns(**fields))
+
+
+def test_without_timing_shares_untimed_columns():
+    columns = TraceColumns.from_requests([r.without_timing() for r in _mixed_requests()])
+    stripped = Trace.from_columns("t", columns).without_timing()
+    assert stripped.columns() is columns  # nothing to strip: the arrays are shared
+    # A trace with device timestamps really strips them.
+    stripped = Trace(name="r", requests=_mixed_requests()).without_timing()
     assert all(r.finish_us is None for r in stripped)
     assert not stripped.columns().flags.any()
+    assert np.isnan(stripped.columns().service_start_us).all()
 
 
 # -- constructor sort behaviour (the O(n log n) skip) -------------------------
@@ -220,7 +236,7 @@ def test_without_timing_fast_path_shares_columns():
 def test_constructor_preserves_already_sorted_input():
     requests = _mixed_requests()
     trace = Trace(name="t", requests=requests)
-    assert trace.requests == requests
+    assert list(trace.requests) == requests
     assert trace.requests is not requests  # defensive copy either way
 
 
@@ -228,7 +244,7 @@ def test_constructor_sorts_unsorted_input():
     requests = _mixed_requests()
     shuffled = [requests[2], requests[0], requests[3], requests[1]]
     trace = Trace(name="t", requests=shuffled)
-    assert trace.requests == sorted(shuffled, key=lambda r: r.arrival_us)
+    assert list(trace.requests) == sorted(shuffled, key=lambda r: r.arrival_us)
     assert [r.arrival_us for r in trace.requests] == [0.0, 10.0, 15.0, 40.0]
 
 

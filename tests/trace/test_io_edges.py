@@ -31,6 +31,36 @@ class TestSerializationEdges:
         assert all(r.arrival_us == 5.0 for r in restored)
 
 
+_HEADER = "arrival_us,lba,size,op,service_start_us,finish_us\r\n"
+
+
+class TestRowsFromOutsideAreChecked:
+    """A CSV row is checked as ``Request`` checks it, with its message."""
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0.0,100,4096,W,,", "lba must be a non-negative multiple of 4096"),
+            ("0.0,4096,0,W,,", "size must be a positive multiple of 4096"),
+            ("-1.0,4096,4096,R,,", "arrival_us must be >= 0, got -1.0"),
+            ("0.0,4096,4096,R,,5.0", "finish_us set without service_start_us"),
+            ("0.0,4096,4096,R,5.0,4.0", "finish_us precedes service_start_us"),
+        ],
+    )
+    def test_invalid_row_raises_the_request_error(self, row, message):
+        with pytest.raises(ValueError) as caught:
+            loads(_HEADER + "0.0,0,4096,R,,\r\n" + row + "\r\n")
+        assert str(caught.value) == message
+
+    def test_unsorted_rows_load_in_stable_arrival_order(self):
+        rows = ["5.0,0,4096,W,,", "1.0,4096,4096,R,,", "5.0,8192,4096,W,,",
+                "1.0,12288,4096,R,,"]
+        trace = loads(_HEADER + "".join(row + "\r\n" for row in rows))
+        assert [(r.arrival_us, r.lba) for r in trace] == [
+            (1.0, 4096), (1.0, 12288), (5.0, 0), (5.0, 8192)
+        ]
+
+
 class TestContainerEdges:
     def test_rebased_empty(self):
         assert len(Trace("e").rebased()) == 0

@@ -1,22 +1,19 @@
 """Unit tests for trace scaling utilities.
 
 The public ``scale_rate``/``scale_sizes`` are vectorized over the
-columnar view; the retired scalar implementations are kept as
-``_reference_*`` oracles and the vectorized paths are asserted
-bit-identical to them, request for request, over generated traces.
+trace's columns; the retired scalar implementations are kept as
+``_reference_*`` oracles in ``tests/analysis/oracles.py`` and the
+vectorized paths are asserted bit-identical to them, request for
+request, over generated traces.
 """
 
 import pytest
 
 from repro.trace import KIB, MIB, Op, Request, Trace
 from repro.workloads import generate_trace
-from repro.workloads.scaling import (
-    _reference_scale_rate,
-    _reference_scale_sizes,
-    scale_rate,
-    scale_sizes,
-    truncate,
-)
+from repro.workloads.scaling import scale_rate, scale_sizes, truncate
+
+from ..analysis.oracles import _reference_scale_rate, _reference_scale_sizes
 
 
 def _trace():

@@ -8,10 +8,9 @@ two transient read-fault plans (the ``transient-reads`` profile and a
 :mod:`repro.replay.parity`: every ``DeviceStats`` field, the timing
 state (admission queue, power state, resource frontiers),
 fault-injector stream states, kernel clock, the FTL's mapping, blocks,
-pools, cursor and GC totals, the returned timed requests, and the
-columns of the returned trace (arrival, service start and completion
-times included).  Any mismatch prints the first diverging element and
-the two values::
+pools, cursor and GC totals, and the columns of the returned trace
+(arrival, service start and completion times included).  Any mismatch
+prints the first diverging element and the two values::
 
     PYTHONHASHSEED=0 python tools/replay_parity.py
 
