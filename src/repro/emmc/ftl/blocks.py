@@ -138,20 +138,18 @@ class Pool:
             block = self.open_block()
         return block
 
-    def gc_safe(self, pages: int, threshold: int) -> bool:
-        """Whether ``pages`` more pages leave the free list above ``threshold``.
+    def gc_budget(self, threshold: int) -> int:
+        """The most pages the pool takes while garbage collection cannot trigger.
 
-        Counts the blocks the pages would open after filling the active
-        block.  While this holds, garbage collection cannot trigger and
-        allocation cannot fail, whatever the victims.
+        Pages fill the active block, then open free blocks.  Up to this
+        many leave more than ``threshold`` blocks free after every open,
+        so garbage collection cannot trigger and allocation cannot fail,
+        whatever the victims.  Each page programmed lowers the budget by
+        one, until garbage collection or an erase changes the free list.
         """
         active = self.active
         available = 0 if active is None else self.pages - self.write_ptr[active]
-        if pages <= available:
-            opens = 0
-        else:
-            opens = -(-(pages - available) // self.pages)
-        return len(self.free) - opens > threshold
+        return max(0, available + (len(self.free) - threshold - 1) * self.pages)
 
     def total_free_pages(self) -> int:
         """Pages still programmable without reclaiming anything."""

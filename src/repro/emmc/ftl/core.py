@@ -140,8 +140,8 @@ class Ftl:
     def advance(self, groups: int) -> None:
         """Move the striping cursor past ``groups`` write groups.
 
-        The replay planner stripes a whole request arithmetically and
-        settles the cursor in one call.
+        The replay planner stripes a whole window of requests
+        arithmetically and settles the cursor in one call.
         """
         self.cursor = (self.cursor + groups) % self.num_planes
 
@@ -167,8 +167,8 @@ class Ftl:
         """Program a run of pages into ``pool``'s active blocks.
 
         ``columns`` is as for :meth:`program`.  Blocks are opened as the
-        run fills them; no GC runs, so the caller must have checked
-        :meth:`Pool.gc_safe` for the run's page count.
+        run fills them; no GC runs, so the run's page count must stay
+        within the pool's :meth:`Pool.gc_budget`.
         """
         count = len(columns[0])
         done = 0

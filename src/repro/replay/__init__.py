@@ -14,12 +14,12 @@ The fast path is split into:
 
 * :mod:`repro.replay.preconditions` -- the eligibility rules; anything
   the two-pass engine cannot model bit-exactly falls back to the kernel.
-* :mod:`repro.replay.planner` -- the planning pass: a slimmed sequential
-  FTL walk over :class:`~repro.trace.columns.TraceColumns` that mutates
-  the real FTL structures exactly like the kernel would, running the
-  device's own write and read steps wherever its closed-form walks do
-  not apply, and emits each request's op rows (unit, channel, latency
-  components) as flat columns.
+* :mod:`repro.replay.planner` -- the planning pass: decides every
+  request of the :class:`~repro.trace.columns.TraceColumns` at once with
+  array arithmetic, drives the real FTL once per window of slim requests
+  to exactly the state the kernel would leave, runs the device's own
+  write and read steps for the rest, and emits each request's op rows
+  (unit, channel, latency components) as flat columns.
 * :mod:`repro.replay.timing` -- the timing pass: serves each request
   through :mod:`repro.emmc.reserve`'s ``admit``, ``reserve`` and
   ``complete``, the serve step the event kernel runs at each arrival,

@@ -1,46 +1,67 @@
-"""Planning pass: a slimmed sequential FTL walk over the trace columns.
+"""Planning pass: the trace's FTL decisions as arrays, applied window by window.
 
-The planner walks the trace once, in arrival order, and does two things
-per request:
+The planner drives the device's **real** FTL to exactly the state the
+event kernel's expansion would leave -- through the FTL's own entries,
+never by touching its mapping, blocks or free lists itself -- and emits
+every request's flash operations -- kind, busy unit, channel, unit
+latency, channel transfer latency, GC flag: the op rows of
+:mod:`repro.emmc.reserve` -- as flat per-op columns, with a per-request
+offset table.
 
-* drives the device's **real** FTL to exactly the state the event
-  kernel's expansion would leave -- through the FTL's own entries, never
-  by touching its mapping, blocks or free lists itself, and
-* emits the request's flash operations -- kind, busy unit, channel, unit
-  latency, channel transfer latency, GC flag: the op rows of
-  :mod:`repro.emmc.reserve` -- appended to flat per-op columns, with a
-  per-request offset table.
+Every decision but GC safety depends only on the trace and on the
+mapping the device holds before it (:meth:`PageMapping.partition`), so
+the planner makes them once per trace, with array arithmetic:
 
-Two walk speeds coexist.  The *slim* path handles the overwhelmingly
-common cases arithmetically: a write whose groups cannot trigger GC
-(every touched pool stays above the threshold even after every block
-this request opens, :meth:`Pool.gc_safe`), and a read that touches only
-pre-trace data (the closed-form preload placement).  Everything else --
-GC-risky writes, every write of a device whose program failures are
-armed, reads of rewritten data -- goes through the device's own write
-and read steps (:meth:`EmmcDevice.write_step` / :meth:`EmmcDevice.read_step`,
-the ones the event kernel's expansion calls, around :meth:`Ftl.write` /
+* The striping cursor before each request is the starting cursor plus
+  the write groups before it.  A fallback write moves the cursor inside
+  :meth:`Ftl.write` by the group count :meth:`RequestDistributor.pack`
+  gives, and the slim path by the same count.
+* A read falls back iff some LPN of it was written before it: by any
+  earlier write, slim or fallback, or before the replay.
+* A slim read preloads its *first-touch* LPNs: the ones no earlier
+  request touched and the device did not map before the replay.
+* A slim request's op rows follow from its cursor -- write groups in
+  ``pack`` order (full large groups, then the tail), planes round-robin
+  -- or from its preload page groups (one read per group, ascending,
+  which is ``Ftl.read``'s first-seen grouping for ascending LPNs), plus
+  the per-kind latencies and the per-payload transfer times.
+
+GC safety is a budget.  :meth:`Pool.gc_budget` is the most pages a pool
+can take while its free list stays above the GC threshold after every
+block it opens; then ``needs_gc`` is False at every allocation whatever
+the victims, and allocation cannot fail.  No GC runs between two
+fallbacks and each page lowers a budget by one, so a write is slim iff
+every pool it touches stays within the budget read when its window
+started.
+
+A *window* is a run of slim requests.  It ends before a fallback -- a
+read of rewritten data, any write of a device whose program failures
+are armed (they are drawn per write group inside ``Ftl.write``), the
+first write past some pool's budget -- and before a write that rewrites
+an LPN written earlier in the window, so programming each pool's share
+at once cannot reorder two copies of one LPN.  A window is applied in
+this order:
+
+1. :meth:`Ftl.preload` maps its first-touch LPNs.  Preloads come first:
+   an LPN a read first-touches and a later write in the window rewrites
+   must end up in flash.  (A read after an in-window write of its LPN is
+   a fallback, and ends the window.)
+2. :meth:`Ftl.program_run` runs once per pool the window writes, with
+   that pool's slot columns in request order; it opens blocks (lowest
+   erase count first) and maps the LPNs through the primitive
+   ``Ftl.write`` uses group by group.
+3. :meth:`Ftl.advance` moves the cursor past the window's groups.
+
+A fallback goes through the device's own write or read step
+(:meth:`EmmcDevice.write_step` / :meth:`EmmcDevice.read_step`, the ones
+the event kernel's expansion calls, around :meth:`Ftl.write` /
 :meth:`Ftl.read`) for that one request, so state, accounting and fault
 draws stay exact without the planner re-implementing GC, wear leveling,
-victim policies or bad-block retirement.  Erase failures need no such
-rule: they fire only inside GC, which a slim write never runs.
-
-The slim paths are proven equivalent to the kernel's:
-
-* write groups are emitted in :meth:`RequestDistributor.pack`
-  order (full large groups, then the tail), and planes advance
-  round-robin from the FTL's cursor.  Each plane's share of a request is
-  one run of pages with evenly spaced LPNs, so the planner hands it to
-  :meth:`Ftl.program_run` as ``range`` slot columns; that programs,
-  opens blocks (lowest erase count first) and maps the LPNs through the
-  same primitive ``Ftl.write`` uses group by group;
-* a read of never-written data produces one op per preload page group in
-  ascending group order, which is ``Ftl.read``'s first-seen grouping for
-  ascending LPNs, with the same per-group payloads; its first-touch LPNs
-  are mapped by :meth:`Ftl.preload`, the routine ``Ftl.read`` uses.
+victim policies or bad-block retirement.  Erase failures need no rule of
+their own: they fire only inside GC, which no window runs.
 
 The device's steps account their own requests.  The planner adds the
-rest -- host bytes, and the slim walks' flash bytes, preloaded pages and
+rest -- host bytes, and the windows' flash bytes, preloaded pages and
 per-kind op counts -- to ``device.stats`` once, at the end of the pass.
 The timing pass accounts the reservations.
 """
@@ -49,6 +70,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List
+
+import numpy as np
 
 from repro.emmc.reserve import PROGRAM, READ
 from repro.trace import SECTOR
@@ -85,6 +108,59 @@ def plan_trace(device, columns) -> ReplayPlan:
     return _Planner(device, columns).run()
 
 
+def _starts(counts) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: where each owner's share of a flat column starts."""
+    starts = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    return starts
+
+
+def _expand(counts, starts):
+    """The owner of each element of a flat column, and its offset within the owner."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(starts[-1]) - starts[owner]
+
+
+def _touches(first, pages, write, mapped, written):
+    """What the LPNs each request touches decide.
+
+    Returns, per request, whether it is a read of an LPN written before it
+    (by an earlier write, or before the replay), and the first later write
+    that rewrites one of a write's LPNs (``n`` for none); then the reads'
+    first-touch LPNs in request order, ascending within a request, and
+    each request's start in them.
+    """
+    n = len(first)
+    owner, offset = _expand(pages, _starts(pages))
+    lpn = first[owner] + offset
+    # All touches of one LPN together, in request order.
+    order = np.argsort(lpn, kind="stable")
+    lpn, owner = lpn[order], owner[order]
+    writes = write[owner]
+    position = np.arange(len(lpn))
+    # The write touch before each touch, and the one after it.
+    before = np.roll(np.maximum.accumulate(np.where(writes, position, -1)), 1)
+    before[:1] = -1
+    after = np.roll(np.minimum.accumulate(np.where(writes, position, len(lpn))[::-1])[::-1], -1)
+    after[-1:] = len(lpn)
+    rewritten = (before >= 0) & (lpn[before] == lpn)
+    if len(written):
+        rewritten |= np.isin(lpn, written)
+    fallback_read = np.zeros(n, dtype=bool)
+    fallback_read[owner[rewritten & ~writes]] = True
+    again = writes & (after < len(lpn))
+    again[again] = lpn[after[again]] == lpn[again]
+    rewrite_at = np.full(n, n, dtype=np.int64)
+    np.minimum.at(rewrite_at, owner[again], owner[after[again]])
+    fresh = ~writes
+    fresh[1:] &= lpn[1:] != lpn[:-1]
+    if len(mapped):
+        fresh &= ~np.isin(lpn, mapped)
+    fresh_owner = owner[fresh]
+    fresh_lpn = lpn[fresh][np.argsort(fresh_owner, kind="stable")]
+    return fallback_read, rewrite_at, fresh_lpn, _starts(np.bincount(fresh_owner, minlength=n))
+
+
 class _Planner:
     """One planning pass; see the module docstring for the contract."""
 
@@ -92,85 +168,37 @@ class _Planner:
         self.device = device
         self.columns = columns
         ftl = device.ftl
-        geometry = device.geometry
-        latency = device.latency
         self.ftl = ftl
         self.write_step = device.write_step
         self.read_step = device.read_step
-        #: Program failures are drawn per write group inside Ftl.write, so
-        #: no write may take the slim path.
         self.program_faults = ftl.faults is not None and ftl.faults.program_active
-        self.num_planes = geometry.num_planes
-        # The device's op-row tables: per-plane unit/channel, per-kind
-        # latencies and the memoised transfer times.
-        op_rows = device.op_rows
-        self.unit_of = op_rows.unit_of
-        self.chan_of = op_rows.chan_of
-        self._transfer_of = op_rows.transfer_us
-        # Rotated plane patterns: groups starting at cursor ``c`` land on
-        # planes ``c, c+1, ... (mod P)``; tiling these lists reproduces
-        # the FTL's round-robin without a per-group call.
-        planes_range = range(self.num_planes)
-        self.unit_rot = [
-            [self.unit_of[(c + i) % self.num_planes] for i in planes_range]
-            for c in planes_range
-        ]
-        self.chan_rot = [
-            [self.chan_of[(c + i) % self.num_planes] for i in planes_range]
-            for c in planes_range
-        ]
-        kinds = ftl.kinds
+        self.num_planes = device.geometry.num_planes
+        planes = range(self.num_planes)
         distributor = device.distributor
-        large = distributor.largest
-        small = distributor.smallest
-        self.large_kind = large
-        self.small_kind = small
+        self.large_kind = large = distributor.largest
+        self.small_kind = small = distributor.smallest
         self.hybrid = distributor.hybrid
-        self.slots_per_large = large.slots
-        self.large_pools = [ftl.pool(plane, large) for plane in planes_range]
-        self.small_pools = [ftl.pool(plane, small) for plane in planes_range]
-        # PageKind.bytes/.slots are computed properties and the per-write
-        # latencies are constants of the kind -- hoist them all out of the
-        # per-request paths.
-        self.large_bytes = large.bytes
-        self.small_bytes = small.bytes
-        self.large_program_us = op_rows.program_us[kinds.index(large)]
-        self.small_program_us = op_rows.program_us[kinds.index(small)]
-        self.large_transfer_us = latency.transfer_us(self.large_bytes)
-        self.small_transfer_us = latency.transfer_us(self.small_bytes)
-        preload_kind = ftl.preload_kind
-        self.preload_kind = preload_kind
-        self.preload_slots = preload_kind.slots
-        self.preload_slot_bytes = preload_kind.bytes // self.preload_slots
-        self.preload_read_us = op_rows.read_us[kinds.index(preload_kind)]
-        self.preload_full_transfer_us = latency.transfer_us(
-            self.preload_slots * self.preload_slot_bytes
-        )
+        # Planner pool ids: the large pool of each plane, then (HPS) the
+        # small ones.
+        self.pools = [ftl.pool(plane, large) for plane in planes]
+        if self.hybrid:
+            self.pools += [ftl.pool(plane, small) for plane in planes]
         self.gc_threshold = ftl.gc.threshold_blocks
-
-        # Written/mapped bitmaps over the LPN range the trace touches
-        # (index ``lpn - base``), seeded from any pre-existing mapping
-        # state (reused devices).  Starting at the lowest LPN, not LPN 0,
-        # keeps them the size of the app's footprint rather than of its
-        # offset on the device.  bytearrays, not ndarrays: the per-request
-        # probes are tiny slices where ``b"\x01" in view`` beats a ufunc
-        # reduction by an order of magnitude.
-        if len(columns):
-            base = int(columns.lba.min()) // SECTOR
-            cap = int((columns.lba + columns.size).max()) // SECTOR
-        else:
-            base = cap = 0
-        self.base = base
-        self.written = bytearray(cap - base)
-        self.mapped = bytearray(cap - base)
-        # Shared all-ones buffer for range sets (sliced, never copied).
-        max_pages = int(columns.size.max()) // SECTOR if len(columns) else 0
-        self._ones = memoryview(b"\x01" * max_pages)
-        mapped, written = ftl.mapping.partition(base, cap)
-        for lpn in mapped:
-            self.mapped[lpn - base] = 1
-        for lpn in written:
-            self.written[lpn - base] = 1
+        self.preload_kind = preload = ftl.preload_kind
+        self.preload_slots = preload.slots
+        # Row codes: 0 a large program, 1 a small program, 1 + k a read of
+        # k preloaded slots.  Each code's latencies are one shared float.
+        op_rows = device.op_rows
+        kinds = ftl.kinds
+        slot_bytes = preload.bytes // preload.slots
+        slots = range(1, preload.slots + 1)
+        self.unit_us = [
+            op_rows.program_us[kinds.index(large)],
+            op_rows.program_us[kinds.index(small)],
+        ] + [op_rows.read_us[kinds.index(preload)]] * preload.slots
+        self.transfer_us = [
+            op_rows.transfer_us(large.bytes), op_rows.transfer_us(small.bytes)
+        ] + [op_rows.transfer_us(count * slot_bytes) for count in slots]
 
         # Per-op output columns.
         self.op_kind: List[int] = []
@@ -179,32 +207,175 @@ class _Planner:
         self.op_unit_us: List[float] = []
         self.op_transfer_us: List[float] = []
         self.op_gc: List[bool] = []
-        self.req_ops: List[int] = [0]
-
-        # The slim walks' accounting, added to the stats once per pass.
-        self.flash_bytes = 0
         self.preloaded_pages = 0
-        self.large_programs = 0
-        self.small_programs = 0
-        self.preload_reads = 0
-        self.slim_writes = 0
-        self.slim_reads = 0
-        self.fallback_requests = 0
+        #: Per-pool GC budgets at the current window, ``None`` after a
+        #: fallback write (its GC may have freed blocks).
+        self.budgets = None
 
-    # -- helpers -----------------------------------------------------------
+    # -- decisions ---------------------------------------------------------
 
-    def _extend_planes(self, cursor: int, count: int) -> None:
-        """Append ``count`` unit/channel rows striped from ``cursor``."""
-        unit_pattern = self.unit_rot[cursor]
-        chan_pattern = self.chan_rot[cursor]
+    def _layout(self, first, pages, write) -> None:
+        """Every request's write groups, slim op rows and pool sequences."""
         P = self.num_planes
-        if count <= P:
-            self.op_unit.extend(unit_pattern[:count])
-            self.op_channel.extend(chan_pattern[:count])
+        L = self.large_kind.slots
+        S = self.preload_slots
+        cursor = self.ftl.cursor
+        full, tail = np.divmod(pages, L)
+        if self.hybrid:
+            large, small = full, tail
         else:
-            full, rem = divmod(count, P)
-            self.op_unit.extend(unit_pattern * full + unit_pattern[:rem])
-            self.op_channel.extend(chan_pattern * full + chan_pattern[:rem])
+            large, small = full + (tail > 0), np.zeros_like(tail)
+        self.n_large = large = np.where(write, large, 0)
+        self.n_small = np.where(write, small, 0)
+        groups = large + self.n_small
+        group_starts = _starts(groups)
+        group_first = first // S
+        self.read_ops = np.where(write, 0, (first + pages - 1) // S - group_first + 1)
+        self.rows = groups + self.read_ops
+        row_starts = _starts(self.rows)
+
+        # Slim op rows: a write's groups stripe from its cursor; a read's
+        # preload groups stripe from their own index.
+        owner, offset = _expand(self.rows, row_starts)
+        is_write = write[owner]
+        plane = (np.where(write, cursor + group_starts[:-1], group_first)[owner] + offset) % P
+        group = group_first[owner] + offset
+        read_slots = np.minimum((first + pages)[owner], (group + 1) * S) - np.maximum(
+            first[owner], group * S
+        )
+        code = np.where(is_write, offset >= large[owner], 1 + read_slots).astype(np.int8)
+        op_rows = self.device.op_rows
+        self.row_kind = np.array([PROGRAM, PROGRAM] + [READ] * S, dtype=np.int8)[code]
+        self.row_unit = np.array(op_rows.unit_of, dtype=np.int16)[plane]
+        self.row_chan = np.array(op_rows.chan_of, dtype=np.int16)[plane]
+        self.row_code = code
+
+        # Each pool's groups in request order, as one array sorted by
+        # (pool, global group index): ``keys`` holds ``pool * G + group``.
+        total = int(group_starts[-1])
+        self.group_starts = group_starts
+        self.pool_keys = np.arange(len(self.pools), dtype=np.int64) * total
+        self.group_valid = None
+        if not total or self.program_faults:
+            return
+        owner, offset = _expand(groups, group_starts)
+        is_small = offset >= large[owner]
+        lpn = first[owner] + np.where(is_small, offset + large[owner] * (L - 1), offset * L)
+        pool = (cursor + np.arange(total)) % P + P * is_small
+        order = np.argsort(pool, kind="stable")
+        self.keys = pool[order] * total + order
+        self.group_lpn = lpn[order]
+        if not self.hybrid and L > 1:
+            # Valid slots per group: fewer than L only in a padded 8PS tail.
+            self.group_valid = np.minimum(L, pages[owner] - offset * L)[order]
+
+    # -- the walk ----------------------------------------------------------
+
+    def run(self) -> ReplayPlan:
+        columns = self.columns
+        n = len(columns)
+        first = columns.lba // SECTOR
+        pages = columns.size // SECTOR
+        write = columns.op != 0
+        mapped, written = (
+            self.ftl.mapping.partition(int(first.min()), int((first + pages).max()))
+            if n
+            else ([], [])
+        )
+        fallback_read, rewrite_at, self.fresh_lpn, fresh_starts = _touches(
+            first, pages, write,
+            np.array(mapped, dtype=np.int64), np.array(written, dtype=np.int64),
+        )
+        self._layout(first, pages, write)
+        # A window from request i ends by limit[i]: the next forced
+        # fallback, or the next write that rewrites an LPN of the window.
+        forced = np.where(fallback_read | (write & self.program_faults), np.arange(n), n)
+        limit = np.minimum.accumulate(np.minimum(forced, rewrite_at)[::-1])[::-1].tolist()
+        self.fresh_start = fresh_starts.tolist()
+        self.group_start = self.group_starts.tolist()
+        self.row_start = _starts(self.rows).tolist()
+
+        first_lpn, page_count, is_write = first.tolist(), pages.tolist(), write.tolist()
+        fallbacks = {}  # request index -> its op-row count
+        start = 0
+        while start < n:
+            if limit[start] > start:
+                end = self._window(start, limit[start])
+                if end > start:
+                    start = end
+                    continue
+            lpns = range(first_lpn[start], first_lpn[start] + page_count[start])
+            if is_write[start]:
+                rows = self.write_step(lpns)
+                self.budgets = None
+            else:
+                rows = self.read_step(lpns)
+            self._extend_rows(rows)
+            fallbacks[start] = len(rows)
+            start += 1
+        return self._finish(write, fallbacks)
+
+    def _window(self, start: int, end: int) -> int:
+        """Apply the slim requests from ``start`` on; returns where they end.
+
+        They end at ``end``, or earlier at the first write past a GC
+        budget (the returned index, a fallback; ``start`` itself when
+        that is the first request).
+        """
+        ftl = self.ftl
+        low, high = self.group_start[start], self.group_start[end]
+        if high > low:
+            if self.budgets is None:
+                threshold = self.gc_threshold
+                self.budgets = np.array([pool.gc_budget(threshold) for pool in self.pools])
+            keys, pool_keys = self.keys, self.pool_keys
+            begin = keys.searchsorted(pool_keys + low)
+            stop = keys.searchsorted(pool_keys + high)
+            over = begin + self.budgets
+            past = over < stop
+            if past.any():
+                # Each pool's first group past its budget; the earliest
+                # one's request falls back.
+                group = int((keys[over[past]] - pool_keys[past]).min())
+                end = int(self.group_starts.searchsorted(group, "right")) - 1
+                if end == start:
+                    return start
+                high = self.group_start[end]
+                stop = keys.searchsorted(pool_keys + high)
+        fresh_low, fresh_high = self.fresh_start[start], self.fresh_start[end]
+        if fresh_high > fresh_low:
+            ftl.preload(self.fresh_lpn[fresh_low:fresh_high].tolist())
+            self.preloaded_pages += fresh_high - fresh_low
+        if high > low:
+            self.budgets -= stop - begin
+            for pool, lo, hi in zip(self.pools, begin.tolist(), stop.tolist()):
+                if hi > lo:
+                    self._program(pool, lo, hi)
+            ftl.advance(high - low)
+        self._extend_slim(self.row_start[start], self.row_start[end])
+        return end
+
+    def _program(self, pool, lo: int, hi: int) -> None:
+        """``Ftl.program_run`` of the pool's groups at ``keys[lo:hi]``."""
+        lpns = self.group_lpn[lo:hi]
+        slots = pool.slots
+        columns = [(lpns + slot).tolist() for slot in range(slots)]
+        if self.group_valid is not None:
+            valid = self.group_valid[lo:hi]
+            for index in np.flatnonzero(valid < slots).tolist():
+                for slot in range(int(valid[index]), slots):
+                    columns[slot][index] = None
+        self.ftl.program_run(pool, columns)
+
+    def _extend_slim(self, low: int, high: int) -> None:
+        """Append the slim op rows ``low:high``."""
+        codes = self.row_code[low:high].tolist()
+        self.op_kind.extend(self.row_kind[low:high].tolist())
+        self.op_unit.extend(self.row_unit[low:high].tolist())
+        self.op_channel.extend(self.row_chan[low:high].tolist())
+        self.op_unit_us.extend(map(self.unit_us.__getitem__, codes))
+        self.op_transfer_us.extend(map(self.transfer_us.__getitem__, codes))
+        self.op_gc.extend([False] * (high - low))
 
     def _extend_rows(self, rows) -> None:
         """Append the op rows a device step returned (never empty)."""
@@ -216,203 +387,40 @@ class _Planner:
         self.op_transfer_us.extend(transfer_us)
         self.op_gc.extend(gc)
 
-    # -- the walk ----------------------------------------------------------
-
-    def run(self) -> ReplayPlan:
-        columns = self.columns
-        req_ops_append = self.req_ops.append
-        op_kind = self.op_kind
-        for lba, size, write in zip(
-            columns.lba.tolist(), columns.size.tolist(), columns.op.tolist()
-        ):
-            if write:
-                self._plan_write(lba // SECTOR, size // SECTOR)
-            else:
-                self._plan_read(lba // SECTOR, size // SECTOR)
-            req_ops_append(len(op_kind))
-        self._account()
+    def _finish(self, write, fallbacks) -> ReplayPlan:
+        """Account the host bytes and the windows' work; build the plan."""
+        rows = self.rows
+        slim = np.ones(len(write), dtype=bool)
+        if fallbacks:
+            index = np.fromiter(fallbacks, dtype=np.int64, count=len(fallbacks))
+            slim[index] = False
+            rows[index] = list(fallbacks.values())
+        slim_writes = slim & write
+        slim_reads = slim & ~write
+        large_programs = int(self.n_large[slim_writes].sum())
+        small_programs = int(self.n_small[slim_writes].sum())
+        size = self.columns.size
+        stats = self.device.stats
+        stats.data_bytes_written += int(size[write].sum())
+        stats.data_bytes_read += int(size[~write].sum())
+        stats.flash_bytes_consumed += (
+            large_programs * self.large_kind.bytes + small_programs * self.small_kind.bytes
+        )
+        stats.preloaded_pages += self.preloaded_pages
+        stats.record_op_counts(self.large_kind, programs=large_programs)
+        stats.record_op_counts(self.small_kind, programs=small_programs)
+        stats.record_op_counts(
+            self.preload_kind, reads=int(self.read_ops[slim_reads].sum())
+        )
         return ReplayPlan(
-            op_kind=op_kind,
+            op_kind=self.op_kind,
             op_unit=self.op_unit,
             op_channel=self.op_channel,
             op_unit_us=self.op_unit_us,
             op_transfer_us=self.op_transfer_us,
             op_gc=self.op_gc,
-            req_ops=self.req_ops,
-            slim_writes=self.slim_writes,
-            slim_reads=self.slim_reads,
-            fallback_requests=self.fallback_requests,
+            req_ops=_starts(rows).tolist(),
+            slim_writes=int(slim_writes.sum()),
+            slim_reads=int(slim_reads.sum()),
+            fallback_requests=len(fallbacks),
         )
-
-    def _account(self) -> None:
-        """Add the host bytes and the slim walks' accounting to the stats."""
-        columns = self.columns
-        stats = self.device.stats
-        writes = columns.op != 0
-        stats.data_bytes_written += int(columns.size[writes].sum())
-        stats.data_bytes_read += int(columns.size[~writes].sum())
-        stats.flash_bytes_consumed += self.flash_bytes
-        stats.preloaded_pages += self.preloaded_pages
-        stats.record_op_counts(self.large_kind, programs=self.large_programs)
-        stats.record_op_counts(self.small_kind, programs=self.small_programs)
-        stats.record_op_counts(self.preload_kind, reads=self.preload_reads)
-
-    # -- writes ------------------------------------------------------------
-
-    def _plan_write(self, first: int, pages: int) -> None:
-        L = self.slots_per_large
-        if L == 1:
-            n_full, tail = pages, 0
-        else:
-            n_full, tail = divmod(pages, L)
-        if tail and self.hybrid:
-            n_large, n_small = n_full, tail
-        elif tail:
-            n_large, n_small = n_full + 1, 0  # padded trailing large group
-        else:
-            n_large, n_small = n_full, 0
-        ftl = self.ftl
-        cursor = ftl.cursor
-        if self.program_faults or not self._write_fits(cursor, n_large, n_small):
-            self._fallback_write(first, pages)
-            return
-        self.slim_writes += 1
-        total_groups = n_large + n_small
-        end = first + pages
-
-        # Op emission, in RequestDistributor.pack group order.
-        self.op_kind.extend([PROGRAM] * total_groups)
-        self.op_gc.extend([False] * total_groups)
-        self._extend_planes(cursor, total_groups)
-        if n_large:
-            self.op_unit_us.extend([self.large_program_us] * n_large)
-            self.op_transfer_us.extend([self.large_transfer_us] * n_large)
-            self.large_programs += n_large
-        if n_small:
-            self.op_unit_us.extend([self.small_program_us] * n_small)
-            self.op_transfer_us.extend([self.small_transfer_us] * n_small)
-            self.small_programs += n_small
-        self.flash_bytes += n_large * self.large_bytes + n_small * self.small_bytes
-
-        # State: each plane's full large groups are one run whose slot
-        # columns are evenly spaced LPNs, then the tail's groups.
-        P = self.num_planes
-        program = ftl.program_run
-        large_pools = self.large_pools
-        if n_full:
-            step = P * L
-            base, extra = divmod(n_full, P)
-            for offset in range(P if n_full >= P else n_full):
-                start = first + offset * L
-                stop = start + (base + 1 if offset < extra else base) * step
-                program(
-                    large_pools[(cursor + offset) % P],
-                    [range(start + slot, stop + slot, step) for slot in range(L)],
-                )
-        if tail:
-            tail_first = first + n_full * L
-            if self.hybrid:
-                small_pools = self.small_pools
-                for offset in range(tail):
-                    program(
-                        small_pools[(cursor + n_full + offset) % P],
-                        ((tail_first + offset,),),
-                    )
-            else:
-                padded = list(range(tail_first, end)) + [None] * (L - tail)
-                program(large_pools[(cursor + n_full) % P], list(zip(padded)))
-        ftl.advance(total_groups)
-        span = slice(first - self.base, end - self.base)  # bitmap indices
-        ones = self._ones[:pages]
-        self.written[span] = ones
-        self.mapped[span] = ones
-
-    def _write_fits(self, cursor: int, n_large: int, n_small: int) -> bool:
-        """Conservative GC-safety check: no pool may near its threshold.
-
-        The kernel runs GC when a group's allocation finds the free pool
-        at or below ``threshold_blocks`` *with a reclaimable victim*.
-        The slim path requires every touched (plane, kind) pool to stay
-        strictly above the threshold even after all the blocks this
-        request opens -- then ``needs_gc`` is False at every allocation
-        regardless of victim availability, and allocation cannot raise.
-        Pools that merely *might* GC go through the real write path.
-        """
-        P = self.num_planes
-        threshold = self.gc_threshold
-        for pools, groups, start in (
-            (self.large_pools, n_large, cursor),
-            (self.small_pools, n_small, cursor + n_large),
-        ):
-            if not groups:
-                continue
-            base, extra = divmod(groups, P)
-            for offset in range(P if groups >= P else groups):
-                count = base + 1 if offset < extra else base
-                if not pools[(start + offset) % P].gc_safe(count, threshold):
-                    return False
-        return True
-
-    def _fallback_write(self, first: int, pages: int) -> None:
-        """The device's write step for this one request."""
-        self.fallback_requests += 1
-        self._extend_rows(self.write_step(range(first, first + pages)))
-        span = slice(first - self.base, first + pages - self.base)
-        ones = self._ones[:pages]
-        self.written[span] = ones
-        self.mapped[span] = ones
-
-    # -- reads -------------------------------------------------------------
-
-    def _plan_read(self, first: int, pages: int) -> None:
-        end = first + pages
-        span = slice(first - self.base, end - self.base)  # bitmap indices
-        if 1 in self.written[span]:
-            self._fallback_read(first, end)
-            return
-        self.slim_reads += 1
-        # Closed-form preload: ascending LPNs group into ascending preload
-        # page groups, one read op per group (Ftl.read's first-seen order).
-        S = self.preload_slots
-        group_first = first // S
-        group_last = (end - 1) // S
-        n_ops = group_last - group_first + 1
-        slot_bytes = self.preload_slot_bytes
-        if n_ops == 1:
-            # Fast lane for the dominant shape: one preload group.
-            plane = group_first % self.num_planes
-            self.op_kind.append(READ)
-            self.op_unit.append(self.unit_of[plane])
-            self.op_channel.append(self.chan_of[plane])
-            self.op_unit_us.append(self.preload_read_us)
-            self.op_transfer_us.append(self._transfer_of(pages * slot_bytes))
-            self.op_gc.append(False)
-        else:
-            self.op_kind.extend([READ] * n_ops)
-            self.op_gc.extend([False] * n_ops)
-            self._extend_planes(group_first % self.num_planes, n_ops)
-            self.op_unit_us.extend([self.preload_read_us] * n_ops)
-            first_count = (group_first + 1) * S - first
-            last_count = end - group_last * S
-            transfers = [self.preload_full_transfer_us] * n_ops
-            transfers[0] = self._transfer_of(first_count * slot_bytes)
-            transfers[-1] = self._transfer_of(last_count * slot_bytes)
-            self.op_transfer_us.extend(transfers)
-        self.preload_reads += n_ops
-        # First-touch LPNs get their preload mapping entry, exactly as
-        # Ftl.read would have inserted it.
-        segment = self.mapped[span]
-        if 0 in segment:
-            if 1 in segment:
-                fresh = [first + offset for offset, seen in enumerate(segment) if not seen]
-            else:
-                fresh = range(first, end)
-            self.ftl.preload(fresh)
-            self.preloaded_pages += len(fresh)
-            self.mapped[span] = self._ones[:pages]
-
-    def _fallback_read(self, first: int, end: int) -> None:
-        """The segment holds rewritten data: the device's read step."""
-        self.fallback_requests += 1
-        self._extend_rows(self.read_step(range(first, end)))
-        self.mapped[first - self.base : end - self.base] = self._ones[: end - first]

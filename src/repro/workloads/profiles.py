@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.trace import KIB, MIB, SECTOR, US_PER_S
@@ -80,7 +81,18 @@ class AppProfile:
         return self.timing_stats.duration_s * US_PER_S / gaps
 
     def size_model(self, op_is_write: bool) -> sizes.SizeModel:
-        """The calibrated per-op size distribution."""
+        """The calibrated per-op size distribution, calibrated once per op type."""
+        return self._write_sizes if op_is_write else self._read_sizes
+
+    @cached_property
+    def _read_sizes(self) -> sizes.SizeModel:
+        return self._calibrate_sizes(op_is_write=False)
+
+    @cached_property
+    def _write_sizes(self) -> sizes.SizeModel:
+        return self._calibrate_sizes(op_is_write=True)
+
+    def _calibrate_sizes(self, op_is_write: bool) -> sizes.SizeModel:
         if op_is_write:
             mean_pages = self.size_stats.avg_write_kib * KIB / SECTOR
             histogram = self.write_histogram

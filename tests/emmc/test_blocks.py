@@ -150,8 +150,28 @@ class TestPlane:
         _program(ftl, pool, block, (1,))
         assert pool.total_free_pages() == 7
 
-    def test_gc_safe_counts_the_blocks_a_run_opens(self, pool):
+    def test_gc_budget_counts_the_blocks_a_run_opens(self, pool):
         # 4 free blocks of 2 pages, threshold 1: a run of 4 pages opens 2
         # blocks (2 left > 1), a run of 5 opens 3 (1 left, not > 1).
-        assert pool.gc_safe(4, 1)
-        assert not pool.gc_safe(5, 1)
+        assert pool.gc_budget(1) == 4
+        # No block free above the threshold: not one page fits.
+        assert pool.gc_budget(4) == 0
+
+    @pytest.mark.parametrize("pages", [1, 2, 3])
+    @pytest.mark.parametrize("threshold", [1, 2])
+    @pytest.mark.parametrize("written", [0, 1, 2, 4])
+    def test_gc_budget_is_the_longest_run_that_stays_above_the_threshold(
+        self, pages, threshold, written
+    ):
+        def after(count):
+            ftl = _ftl(pages=pages, blocks=8)
+            pool = ftl.pools[0]
+            for lpn in range(written + count):
+                ftl.program_run(pool, [[lpn]])
+            return pool
+
+        budget = after(0).gc_budget(threshold)
+        for count in range(1, budget + 3):
+            assert (len(after(count).free) > threshold) == (count <= budget)
+        for count in range(budget + 1):
+            assert after(count).gc_budget(threshold) == budget - count

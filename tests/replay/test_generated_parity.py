@@ -16,7 +16,8 @@ Its states emit the shapes that independent random draws rarely reach:
   threshold, and past its capacity at the top fill level;
 * writes that straddle the plane stripe by a page either way;
 * reads of rewritten LPNs (the planner's fallback) and of LPNs no write
-  ever touched (first-touch preload);
+  ever touched (first-touch preload), beyond the span and inside it, where
+  a later write may overwrite what the read preloaded;
 * arrivals that tie the previous one, and idle gaps that land exactly on
   the power-down deadline -- the tie the timing pass breaks with a
   strict ``<``.
@@ -58,9 +59,9 @@ ERASE_RATES = (0.0, 0.0, 0.02, 0.1)
 
 #: Hidden states.  TIE and IDLE borrow another state's request shape and
 #: only change its arrival.
-HOT, FILL, STRADDLE, REREAD, COLD, TIE, IDLE = range(7)
-SHAPES = (HOT, FILL, STRADDLE, REREAD, COLD)
-STATES = 7
+HOT, FILL, STRADDLE, REREAD, COLD, FRESH, TIE, IDLE = range(8)
+SHAPES = (HOT, FILL, STRADDLE, REREAD, COLD, FRESH)
+STATES = 8
 #: Probability of staying in the current state (bursty workloads).
 STAY = 0.6
 
@@ -122,6 +123,7 @@ def hidden_state_requests(config, seed, fill, count):
     cold_base = span + 4 * stripe + 64  # beyond every write
     threshold = config.latency.power_threshold_us
     written = []
+    written_lpns = set()
     rows = []
     state = rng.randrange(len(SHAPES))
     for _ in range(count):
@@ -130,6 +132,12 @@ def hidden_state_requests(config, seed, fill, count):
         shape = rng.choice(SHAPES) if state in (TIE, IDLE) else state
         if shape == REREAD and not written:
             shape = COLD
+        if shape == FRESH:
+            # A never-written LPN inside the span, read up to the next
+            # written one: a first touch that a later write may overwrite.
+            lpn = rng.randrange(span)
+            if lpn in written_lpns:
+                shape = COLD
         if shape == HOT:
             op, lpn, pages = Op.WRITE, rng.choice(hot), rng.randint(1, 3)
         elif shape == FILL:
@@ -143,12 +151,18 @@ def hidden_state_requests(config, seed, fill, count):
             offset = rng.randrange(length)
             op, lpn = Op.READ, start + offset
             pages = rng.randint(1, length - offset + 1)
+        elif shape == FRESH:
+            op, pages = Op.READ, 1
+            limit = rng.randint(1, 2 * stripe + 1)
+            while pages < limit and lpn + pages not in written_lpns:
+                pages += 1
         else:
             op, lpn = Op.READ, cold_base + rng.randrange(4 * stripe + 16)
             pages = rng.randint(1, 2 * stripe + 1)
         pages = max(1, pages)
         if op is Op.WRITE:
             written.append((lpn, pages))
+            written_lpns.update(range(lpn, lpn + pages))
         if state == TIE:
             gap = 0.0
         elif state == IDLE:
